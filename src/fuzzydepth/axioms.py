@@ -53,15 +53,7 @@ class AxiomVerdict:
 
 def transform_frv(x, matrix=None, shift=None):
     """Apply an affine map atom by atom: atom -> M . atom + shift."""
-
-    def apply(atom):
-        if matrix is not None:
-            atom = matrix_transform(atom, matrix)
-        if shift is not None:
-            atom = add(atom, shift)
-        return atom
-
-    return x.map_atoms(apply)
+    return x.map_atoms(lambda a: transform_set(a, matrix, shift))
 
 
 def transform_set(a, matrix=None, shift=None):

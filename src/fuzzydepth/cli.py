@@ -16,20 +16,11 @@ import sys
 from pathlib import Path
 
 from .dataset import parse_dataset, records_frv
-from .depths import DepthConfig, depth_table
+from .depths import DEPTH_METHODS, DepthConfig, depth_table
 from .exceptions import FuzzyDepthError
 from .fuzzyset import DEFAULT_N_ALPHA
 from .report import emit_report, emit_svg, format_table
 from .verification import format_rows, run_suite
-
-_METHOD_NAMES = {
-    "projection": "projection",
-    "natural": "natural",
-    "natural-raised": "natural_raised",
-    "location": "location",
-    "location-raised": "location_raised",
-}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -43,7 +34,7 @@ def build_parser():
     common.add_argument(
         "--method",
         required=True,
-        choices=sorted(_METHOD_NAMES),
+        choices=sorted(m.replace("_", "-") for m in DEPTH_METHODS),
         help="depth method to evaluate",
     )
     common.add_argument("--r", type=float, default=1.0, help="exponent r >= 1 (default 1)")
@@ -78,21 +69,11 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    method = _METHOD_NAMES[args.method]
-    return DepthConfig(
-        method=method,
-        r=args.r,
-        theta=args.theta,
-        n_alpha=args.alpha_grid,
-    )
-
-
 def _load_table(args):
     text = Path(args.input).read_text(encoding="utf-8")
     records = parse_dataset(text)
     x, queries, ids = records_frv(records)
-    config = _config_from_args(args)
+    config = DepthConfig(args.method.replace("-", "_"), args.r, args.theta, args.alpha_grid)
     return records, depth_table(x, queries=queries, config=config, ids=ids)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .empirical import make_frv
@@ -37,8 +38,9 @@ class DatasetRecord:
 def parse_dataset(text):
     """Parse CSV text into a list of DatasetRecords.
 
-    Raises ParseError (with the offending line number) for malformed rows
-    and OrderViolation when trapezoid knots are out of order.
+    Raises ParseError (with the offending line number) for malformed rows,
+    non-finite knots included, and OrderViolation when trapezoid knots are
+    out of order.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -67,6 +69,8 @@ def parse_dataset(text):
             knots = [float(v) for v in row[1:5]]
         except ValueError as err:
             raise ParseError(f"bad knot value: {err}", line=line) from None
+        if not all(map(math.isfinite, knots)):
+            raise ParseError(f"knots must be finite, got {tuple(knots)}", line=line)
         try:
             frequency = int(row[5])
         except ValueError:

@@ -2,10 +2,10 @@
 
 ``projection_depth`` inverts the worst-case robust outlyingness of the
 support function over directions and thresholds.  The four L^r-type depths
-invert expected distances to the atoms: ``natural_depth`` uses the support
-metric rho_r, ``location_depth`` the mid/spread metric d_{r,theta}, and the
-raised variants use the r-th powers of those distances.  All five map into
-[0, 1], larger meaning more central.
+are one ``metric_depth``, the inverted expected distance to the atoms:
+``natural_depth`` uses the support metric rho_r, ``location_depth`` the
+mid/spread metric d_{r,theta}, and the raised variants use the r-th powers of
+those distances.  All five map into [0, 1], larger meaning more central.
 """
 
 from __future__ import annotations
@@ -18,16 +18,19 @@ from scipy.stats import rankdata
 
 from .empirical import _mad_columns, _median_columns
 from .exceptions import DimensionMismatch, GridMismatch, OutOfRange
-from .fuzzyset import DEFAULT_N_ALPHA, DEFAULT_N_DIR, merge_alphas, uniform_alphas
-from .metrics import metric_d_r_theta, metric_rho_r
+from .fuzzyset import DEFAULT_N_ALPHA, merge_alphas, uniform_alphas
+from .metrics import MetricSpec
 
-DEPTH_METHODS = (
-    "projection",
-    "natural",
-    "natural_raised",
-    "location",
-    "location_raised",
-)
+# Depth method -> (metric family, distance raised to the power r); the
+# projection depth uses no metric.
+_METHOD_METRICS = {
+    "projection": None,
+    "natural": ("rho_r", False),
+    "natural_raised": ("rho_r", True),
+    "location": ("d_r_theta", False),
+    "location_raised": ("d_r_theta", True),
+}
+DEPTH_METHODS = tuple(_METHOD_METRICS)
 
 
 def _require_compatible(a, x):
@@ -50,9 +53,12 @@ def outlyingness(a, x, n_alpha=DEFAULT_N_ALPHA):
 
     A vanishing MAD contributes nothing when the numerator also vanishes and
     makes the outlyingness infinite otherwise.  For one-dimensional sets the
-    supremum is evaluated on the uniform alpha grid augmented with every
-    breakpoint of the query and the atoms, which is exact for trapezoidal
-    data; planar sets are evaluated on their stored grids.
+    supremum is taken on the uniform alpha grid augmented with every
+    breakpoint of the query and the atoms.  That is an approximation: the
+    median and MAD profiles also bend between those points, wherever two atom
+    supports or two absolute deviations cross, so the value returned is a
+    lower bound on the exact supremum.  Planar sets are evaluated on their
+    stored grids.
     """
     _require_compatible(a, x)
     weights = x.weights
@@ -90,32 +96,38 @@ def projection_depth(a, x, n_alpha=DEFAULT_N_ALPHA):
     return 1.0 / (1.0 + out)
 
 
+def metric_depth(a, x, metric, raised=False):
+    """Depth 1 / (1 + E m(A, X)), or 1 / (1 + E m(A, X)^r) when ``raised``.
+
+    ``metric`` is a MetricSpec; its exponent r is the one the distance is
+    raised to.  The four L^r-type depths of the paper are this function with
+    the rho_r or the d_{r,theta} family.
+    """
+    _require_compatible(a, x)
+    if raised:
+        r = float(metric.r)
+        return 1.0 / (1.0 + x.expectation(lambda atom: metric(a, atom) ** r))
+    return 1.0 / (1.0 + x.expectation(lambda atom: metric(a, atom)))
+
+
 def natural_depth(a, x, r):
     """Depth 1 / (1 + E rho_r(A, X))."""
-    _require_compatible(a, x)
-    return 1.0 / (1.0 + x.expectation(lambda atom: metric_rho_r(a, atom, r)))
+    return metric_depth(a, x, MetricSpec("rho_r", r))
 
 
 def natural_raised_depth(a, x, r):
     """Depth 1 / (1 + E rho_r(A, X)^r)."""
-    _require_compatible(a, x)
-    r = float(r)
-    return 1.0 / (1.0 + x.expectation(lambda atom: metric_rho_r(a, atom, r) ** r))
+    return metric_depth(a, x, MetricSpec("rho_r", r), raised=True)
 
 
 def location_depth(a, x, r, theta):
     """Depth 1 / (1 + E d_{r,theta}(A, X))."""
-    _require_compatible(a, x)
-    return 1.0 / (1.0 + x.expectation(lambda atom: metric_d_r_theta(a, atom, r, theta)))
+    return metric_depth(a, x, MetricSpec("d_r_theta", r, theta))
 
 
 def location_raised_depth(a, x, r, theta):
     """Depth 1 / (1 + E d_{r,theta}(A, X)^r)."""
-    _require_compatible(a, x)
-    r = float(r)
-    return 1.0 / (
-        1.0 + x.expectation(lambda atom: metric_d_r_theta(a, atom, r, theta) ** r)
-    )
+    return metric_depth(a, x, MetricSpec("d_r_theta", r, theta), raised=True)
 
 
 @dataclass(frozen=True)
@@ -123,42 +135,35 @@ class DepthConfig:
     """Method plus parameters for a depth-table run.
 
     ``theta`` is required by the location methods and must stay unset for the
-    others; ``r`` defaults to 1.  Grid sizes apply where a computation needs
-    them: ``n_alpha`` to the one-dimensional outlyingness supremum.
+    others; ``r`` defaults to 1.  ``n_alpha`` is the alpha grid of the
+    one-dimensional outlyingness supremum.  The metric methods are validated
+    by the MetricSpec they bind; the rest is checked here.
     """
 
     method: str
     r: float = 1.0
     theta: float | None = None
     n_alpha: int = DEFAULT_N_ALPHA
-    n_dir: int = DEFAULT_N_DIR
 
     def __post_init__(self):
-        if self.method not in DEPTH_METHODS:
+        if self.method not in _METHOD_METRICS:
             raise OutOfRange(f"unknown depth method {self.method!r}")
-        if not float(self.r) >= 1.0:
-            raise OutOfRange(f"r must be at least 1, got {self.r}")
-        needs_theta = self.method in ("location", "location_raised")
-        if needs_theta and self.theta is None:
-            raise OutOfRange(f"method {self.method!r} requires theta")
-        if not needs_theta and self.theta is not None:
-            raise OutOfRange(f"method {self.method!r} does not accept theta")
-        if self.theta is not None and self.theta < 0.0:
-            raise OutOfRange(f"theta must be non-negative, got {self.theta}")
         if self.n_alpha < 1:
             raise OutOfRange("n_alpha must be at least 1")
+        if self.method != "projection":
+            self.depth_function()  # the MetricSpec it binds checks r and theta
+        elif not float(self.r) >= 1.0:
+            raise OutOfRange(f"r must be at least 1, got {self.r}")
+        elif self.theta is not None:
+            raise OutOfRange(f"method {self.method!r} does not accept theta")
 
     def depth_function(self):
         """Bind the configuration into a callable (A, X) -> depth."""
         if self.method == "projection":
             return lambda a, x: projection_depth(a, x, n_alpha=self.n_alpha)
-        if self.method == "natural":
-            return lambda a, x: natural_depth(a, x, self.r)
-        if self.method == "natural_raised":
-            return lambda a, x: natural_raised_depth(a, x, self.r)
-        if self.method == "location":
-            return lambda a, x: location_depth(a, x, self.r, self.theta)
-        return lambda a, x: location_raised_depth(a, x, self.r, self.theta)
+        family, raised = _METHOD_METRICS[self.method]
+        metric = MetricSpec(family, self.r, self.theta)
+        return lambda a, x: metric_depth(a, x, metric, raised)
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,6 @@ class DepthReport:
     r: float
     theta: float | None
     n_alpha: int
-    n_dir: int
 
     def to_dict(self):
         return {
@@ -214,5 +218,4 @@ def depth_table(x, queries=None, config=None, ids=None):
         r=float(config.r),
         theta=None if config.theta is None else float(config.theta),
         n_alpha=config.n_alpha,
-        n_dir=config.n_dir,
     )

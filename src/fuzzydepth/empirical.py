@@ -20,7 +20,6 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatch,
-    EmptyInput,
     EmptySample,
     GridMismatch,
     InvalidPerturbation,
@@ -49,7 +48,7 @@ class MedianInterval:
 
 def _normalized_weights(n, weights):
     if n == 0:
-        raise EmptyInput("no values supplied")
+        raise EmptySample("no values supplied")
     if weights is None:
         return np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=float)

@@ -31,10 +31,6 @@ class GridMismatch(FuzzyDepthError):
     """Sampled fuzzy sets do not share direction or alpha grids."""
 
 
-class EmptyInput(FuzzyDepthError):
-    """An operation received an empty collection of values."""
-
-
 class EmptySample(FuzzyDepthError):
     """A fuzzy random variable needs at least one positively weighted atom."""
 

@@ -219,9 +219,11 @@ def make_trapezoid(a, b, c, d):
     """Trapezoidal fuzzy number with support [a, d] and core [b, c].
 
     The level at alpha is [a + alpha*(b - a), d - alpha*(d - c)].  Knots must
-    satisfy a <= b <= c <= d.
+    be finite and satisfy a <= b <= c <= d.
     """
     a, b, c, d = float(a), float(b), float(c), float(d)
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise OutOfRange(f"knots must be finite, got {(a, b, c, d)}")
     if not (a <= b <= c <= d):
         raise OrderViolation(f"knots must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
     return LevelFuzzySet([0.0, 1.0], [a, b], [d, c], validate=False)
@@ -295,20 +297,11 @@ class GridFuzzySet:
         between the two neighbouring grid directions.
         """
         j = self._snap_alpha(alpha)
-        col = self.values[:, j]
-        return float(_interp_periodic(col, self._angle_position(u)))
+        return float(self.support_column(u)[j])
 
     def support_column(self, u):
         """Support values over the whole alpha grid for one direction."""
-        pos = self._angle_position(u)
-        n = self.directions.size
-        i0 = int(math.floor(pos)) % n
-        frac = pos - math.floor(pos)
-        if frac < _ANGLE_SNAP_TOL:
-            return self.values[i0].copy()
-        if frac > 1.0 - _ANGLE_SNAP_TOL:
-            return self.values[(i0 + 1) % n].copy()
-        return (1.0 - frac) * self.values[i0] + frac * self.values[(i0 + 1) % n]
+        return _interp_periodic(self.values, self._angle_position(u))
 
     def level(self, alpha):
         """Convex polygon approximating the alpha-level.
@@ -343,14 +336,9 @@ class GridFuzzySet:
     def resample(self, directions, alphas):
         """Interpolate the support values onto different grids."""
         alphas = np.asarray(alphas, dtype=float)
-        n_new = directions.size
         pos = directions.angles * self.directions.size / (2.0 * math.pi)
-        by_angle = np.empty((n_new, len(self.alphas)))
-        for i in range(n_new):
-            by_angle[i] = _interp_periodic_rows(self.values, pos[i])
-        out = np.empty((n_new, len(alphas)))
-        for i in range(n_new):
-            out[i] = np.interp(alphas, self.alphas, by_angle[i])
+        by_angle = _interp_periodic(self.values, pos)
+        out = _interp_columns(alphas, self.alphas, by_angle)
         return GridFuzzySet(directions, alphas, out, validate=False)
 
     def __add__(self, other):
@@ -371,26 +359,36 @@ class GridFuzzySet:
         )
 
 
-def _interp_periodic(column, pos):
-    n = len(column)
-    i0 = int(math.floor(pos)) % n
-    frac = pos - math.floor(pos)
-    if frac < _ANGLE_SNAP_TOL:
-        return column[i0]
-    if frac > 1.0 - _ANGLE_SNAP_TOL:
-        return column[(i0 + 1) % n]
-    return (1.0 - frac) * column[i0] + frac * column[(i0 + 1) % n]
+def _interp_periodic(values, pos):
+    """Rows of ``values`` at fractional row positions, periodic in the row.
+
+    Row i sits at position i and row 0 follows the last row.  ``pos`` is a
+    scalar, giving one row, or an array, giving one row per position.  A
+    position within _ANGLE_SNAP_TOL of a row returns that row exactly;
+    otherwise the two neighbouring rows are blended linearly.
+    """
+    n = len(values)
+    pos = np.asarray(pos, dtype=float)
+    floor = np.floor(pos)
+    frac = (pos - floor)[..., None]
+    i0 = floor.astype(int) % n
+    i1 = (i0 + 1) % n
+    blend = (1.0 - frac) * values[i0] + frac * values[i1]
+    out = np.where(frac < _ANGLE_SNAP_TOL, values[i0], blend)
+    return np.where(frac > 1.0 - _ANGLE_SNAP_TOL, values[i1], out)
 
 
-def _interp_periodic_rows(values, pos):
-    n = values.shape[0]
-    i0 = int(math.floor(pos)) % n
-    frac = pos - math.floor(pos)
-    if frac < _ANGLE_SNAP_TOL:
-        return values[i0]
-    if frac > 1.0 - _ANGLE_SNAP_TOL:
-        return values[(i0 + 1) % n]
-    return (1.0 - frac) * values[i0] + frac * values[(i0 + 1) % n]
+def _interp_columns(x, xp, fp):
+    """``np.interp(x, xp, row)`` for every row of ``fp`` at once.
+
+    np.interp takes one row per call.  This uses its formula and, like it,
+    returns the stored value exactly at a node, so for x inside
+    [xp[0], xp[-1]] the result is bitwise that of a loop over rows.
+    """
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
+    out = np.where(x == xp[j], fp[:, j], slope * (x - xp[j]) + fp[:, j])
+    return np.where(x == xp[-1], fp[:, -1:], out)
 
 
 def grid_from_support(fn, directions, alphas):
@@ -538,7 +536,5 @@ def matrix_transform(a, m):
     pos = (np.arctan2(transposed[:, 1], transposed[:, 0]) % (2.0 * math.pi)) * n / (
         2.0 * math.pi
     )
-    values = np.empty_like(a.values)
-    for k in range(n):
-        values[k] = norms[k] * _interp_periodic_rows(a.values, pos[k])
+    values = norms[:, None] * _interp_periodic(a.values, pos)
     return GridFuzzySet(a.directions, a.alphas, values, validate=False)

@@ -31,13 +31,7 @@ from .axioms import (
     search_p3b_violation,
 )
 from .dataset import records_frv, trees_like_records
-from .depths import (
-    location_depth,
-    location_raised_depth,
-    natural_depth,
-    natural_raised_depth,
-    projection_depth,
-)
+from .depths import DepthConfig
 from .empirical import make_frv, sign_flip_symmetric_frv
 from .fuzzyset import (
     DirectionGrid,
@@ -71,25 +65,12 @@ class VerifyCase:
         return verdict.status in (FAIL, INCONCLUSIVE)
 
 
-# Depth families under test, keyed by a display name.
-def _proj(a, x):
-    return projection_depth(a, x)
-
-
-def _nat(r):
-    return lambda a, x: natural_depth(a, x, r)
-
-
-def _nat_raised(r):
-    return lambda a, x: natural_raised_depth(a, x, r)
-
-
-def _loc(r, theta):
-    return lambda a, x: location_depth(a, x, r, theta)
-
-
-def _loc_raised(r, theta):
-    return lambda a, x: location_raised_depth(a, x, r, theta)
+def _family(method, r=1.0, theta=None):
+    """Display name and depth callable of one configured depth method."""
+    name = method.replace("_", "-")
+    if method != "projection":
+        name += f" r={r:g}" + ("" if theta is None else f" theta={theta:g}")
+    return name, DepthConfig(method, r, theta).depth_function()
 
 
 def example_pair_frv():
@@ -164,10 +145,13 @@ def _line_transforms():
     ]
 
 
-def _case_p1_projection(seed):
-    x = three_atom_frv()
-    probes = list(x.atoms) + [crisp_interval(3, 4), make_trapezoid(0, 1, 2, 4)]
-    return check_p1(_proj, x, _line_transforms(), probes=probes, tol=1e-9)
+def _case_p1_pass(depth_fn):
+    def run(seed):
+        x = three_atom_frv()
+        probes = list(x.atoms) + [crisp_interval(3, 4), make_trapezoid(0, 1, 2, 4)]
+        return check_p1(depth_fn, x, _line_transforms(), probes=probes, tol=1e-9)
+
+    return run
 
 
 def _case_p1_fail(depth_fn):
@@ -242,12 +226,15 @@ def _case_p3b_pass(depth_fn, metric):
     return run
 
 
-def _case_p3b_search(seed):
-    x = skewed_frv()
-    maximizer = crisp_interval(0, 5)
-    return search_p3b_violation(
-        _proj, x, maximizer, MetricSpec("d_r", 1.0), seed=seed, n_trials=400
-    )
+def _case_p3b_search(depth_fn):
+    def run(seed):
+        x = skewed_frv()
+        maximizer = crisp_interval(0, 5)
+        return search_p3b_violation(
+            depth_fn, x, maximizer, MetricSpec("d_r", 1.0), seed=seed, n_trials=400
+        )
+
+    return run
 
 
 def _case_p4a(depth_fn):
@@ -284,173 +271,66 @@ def _case_p4b_theta0(depth_fn):
     return run
 
 
-def _case_trees_center(seed):
-    x, queries, _ = records_frv(trees_like_records())
-    probes = list(queries)
-    return check_p2(_proj, probes[4], x, probes, tol=0.0)
+def _case_trees_center(depth_fn):
+    def run(seed):
+        x, queries, _ = records_frv(trees_like_records())
+        probes = list(queries)
+        return check_p2(depth_fn, probes[4], x, probes, tol=0.0)
+
+    return run
 
 
 def build_cases():
     """The full expected-verdict matrix."""
-    rho2 = MetricSpec("rho_r", 2.0)
+    # Depth families under test, as DepthConfig arguments.
+    proj = ("projection",)
+    nat1 = ("natural", 1.0)
+    nat_raised2 = ("natural_raised", 2.0)
+    loc11 = ("location", 1.0, 1.0)
+    metric_families = (nat1, nat_raised2, loc11, ("location_raised", 2.0, 1.0))
     rho1 = MetricSpec("rho_r", 1.0)
-    d21 = MetricSpec("d_r_theta", 2.0, 1.0)
+    rho2 = MetricSpec("rho_r", 2.0)
     d11 = MetricSpec("d_r_theta", 1.0, 1.0)
-    families = {
-        "natural r=1": _nat(1.0),
-        "natural-raised r=2": _nat_raised(2.0),
-        "location r=1 theta=1": _loc(1.0, 1.0),
-        "location-raised r=2 theta=1": _loc_raised(2.0, 1.0),
-    }
-    cases = [
-        VerifyCase("projection: affine invariance", "p1", EXPECT_PASS, _case_p1_projection),
+    d21 = MetricSpec("d_r_theta", 2.0, 1.0)
+    # (families, property, suite, expectation, case factory, extra arguments):
+    # one case per family, named "<family>: <property>", in table order.
+    table = [
+        ([proj], "affine invariance", "p1", EXPECT_PASS, _case_p1_pass),
+        (metric_families, "affine invariance", "p1", EXPECT_FAIL, _case_p1_fail),
+        (metric_families, "rigid-motion invariance (line)", "p1", EXPECT_PASS,
+         _case_p1_star_line),
+        ([nat1, ("location", 2.0, 1.0)], "rigid-motion invariance (plane)", "p1",
+         EXPECT_PASS, _case_p1_star_plane),
+        ([proj, nat1, nat_raised2, ("natural", 3.0), loc11, ("location_raised", 2.0, 5.0)],
+         "maximal at symmetry center", "p2", EXPECT_PASS, _case_p2),
+        ([proj], "maximal at weighted median group", "p2", EXPECT_PASS, _case_trees_center),
+        ([proj, *metric_families], "decay along convex paths", "p3", EXPECT_PASS, _case_p3a),
+        ([proj, nat1], "monotone on rho_2-collinear triples", "p3", EXPECT_PASS,
+         _case_p3b_pass, rho2),
+        ([nat_raised2], "monotone on d_{2,1}-collinear triples", "p3", EXPECT_PASS,
+         _case_p3b_pass, d21),
+        ([loc11], "monotone on d_{1,1}-collinear triples", "p3", EXPECT_PASS,
+         _case_p3b_pass, d11),
+        ([proj], "search on Hausdorff-collinear triples", "p3",
+         EXPECT_FAIL_OR_INCONCLUSIVE, _case_p3b_search),
+        ([proj, *metric_families], "vanishing for growing translates", "p4", EXPECT_PASS,
+         _case_p4a),
+        ([("location", 1.0, 0.0), ("location_raised", 2.0, 0.0)],
+         "vanishing for growing translates", "p4", EXPECT_FAIL, _case_p4a_theta0),
+        ([proj], "vanishing along rho_1 divergence", "p4", EXPECT_PASS, _case_p4b, rho1),
+        ([proj], "vanishing along d_2 divergence", "p4", EXPECT_PASS, _case_p4b,
+         MetricSpec("d_r", 2.0)),
+        ([nat1], "vanishing along rho_1 divergence", "p4", EXPECT_PASS, _case_p4b, rho1),
+        ([nat_raised2], "vanishing along rho_2 divergence", "p4", EXPECT_PASS, _case_p4b, rho2),
+        ([loc11], "vanishing along d_{1,1} divergence", "p4", EXPECT_PASS, _case_p4b, d11),
+        ([("location", 2.0, 0.0)], "vanishing along rho_2 divergence", "p4", EXPECT_FAIL,
+         _case_p4b_theta0),
     ]
-    for name, fn in families.items():
-        cases.append(
-            VerifyCase(f"{name}: affine invariance", "p1", EXPECT_FAIL, _case_p1_fail(fn))
-        )
-    for name, fn in families.items():
-        cases.append(
-            VerifyCase(
-                f"{name}: rigid-motion invariance (line)",
-                "p1",
-                EXPECT_PASS,
-                _case_p1_star_line(fn),
-            )
-        )
-    for name, fn in [("natural r=1", _nat(1.0)), ("location r=2 theta=1", _loc(2.0, 1.0))]:
-        cases.append(
-            VerifyCase(
-                f"{name}: rigid-motion invariance (plane)",
-                "p1",
-                EXPECT_PASS,
-                _case_p1_star_plane(fn),
-            )
-        )
-    p2_families = {
-        "projection": _proj,
-        "natural r=1": _nat(1.0),
-        "natural-raised r=2": _nat_raised(2.0),
-        "natural r=3": _nat(3.0),
-        "location r=1 theta=1": _loc(1.0, 1.0),
-        "location-raised r=2 theta=5": _loc_raised(2.0, 5.0),
-    }
-    for name, fn in p2_families.items():
-        cases.append(
-            VerifyCase(f"{name}: maximal at symmetry center", "p2", EXPECT_PASS, _case_p2(fn))
-        )
-    cases.append(
-        VerifyCase(
-            "projection: maximal at weighted median group", "p2", EXPECT_PASS, _case_trees_center
-        )
-    )
-    for name, fn in [
-        ("projection", _proj),
-        ("natural r=1", _nat(1.0)),
-        ("natural-raised r=2", _nat_raised(2.0)),
-        ("location r=1 theta=1", _loc(1.0, 1.0)),
-        ("location-raised r=2 theta=1", _loc_raised(2.0, 1.0)),
-    ]:
-        cases.append(
-            VerifyCase(f"{name}: decay along convex paths", "p3", EXPECT_PASS, _case_p3a(fn))
-        )
-    cases.extend(
-        [
-            VerifyCase(
-                "projection: monotone on rho_2-collinear triples",
-                "p3",
-                EXPECT_PASS,
-                _case_p3b_pass(_proj, rho2),
-            ),
-            VerifyCase(
-                "natural r=1: monotone on rho_2-collinear triples",
-                "p3",
-                EXPECT_PASS,
-                _case_p3b_pass(_nat(1.0), rho2),
-            ),
-            VerifyCase(
-                "natural-raised r=2: monotone on d_{2,1}-collinear triples",
-                "p3",
-                EXPECT_PASS,
-                _case_p3b_pass(_nat_raised(2.0), d21),
-            ),
-            VerifyCase(
-                "location r=1 theta=1: monotone on d_{1,1}-collinear triples",
-                "p3",
-                EXPECT_PASS,
-                _case_p3b_pass(_loc(1.0, 1.0), d11),
-            ),
-            VerifyCase(
-                "projection: search on Hausdorff-collinear triples",
-                "p3",
-                EXPECT_FAIL_OR_INCONCLUSIVE,
-                _case_p3b_search,
-            ),
-        ]
-    )
-    p4a_families = {
-        "projection": _proj,
-        "natural r=1": _nat(1.0),
-        "natural-raised r=2": _nat_raised(2.0),
-        "location r=1 theta=1": _loc(1.0, 1.0),
-        "location-raised r=2 theta=1": _loc_raised(2.0, 1.0),
-    }
-    for name, fn in p4a_families.items():
-        cases.append(
-            VerifyCase(f"{name}: vanishing for growing translates", "p4", EXPECT_PASS, _case_p4a(fn))
-        )
-    cases.extend(
-        [
-            VerifyCase(
-                "location r=1 theta=0: vanishing for growing translates",
-                "p4",
-                EXPECT_FAIL,
-                _case_p4a_theta0(_loc(1.0, 0.0)),
-            ),
-            VerifyCase(
-                "location-raised r=2 theta=0: vanishing for growing translates",
-                "p4",
-                EXPECT_FAIL,
-                _case_p4a_theta0(_loc_raised(2.0, 0.0)),
-            ),
-            VerifyCase(
-                "projection: vanishing along rho_1 divergence",
-                "p4",
-                EXPECT_PASS,
-                _case_p4b(_proj, rho1),
-            ),
-            VerifyCase(
-                "projection: vanishing along d_2 divergence",
-                "p4",
-                EXPECT_PASS,
-                _case_p4b(_proj, MetricSpec("d_r", 2.0)),
-            ),
-            VerifyCase(
-                "natural r=1: vanishing along rho_1 divergence",
-                "p4",
-                EXPECT_PASS,
-                _case_p4b(_nat(1.0), rho1),
-            ),
-            VerifyCase(
-                "natural-raised r=2: vanishing along rho_2 divergence",
-                "p4",
-                EXPECT_PASS,
-                _case_p4b(_nat_raised(2.0), rho2),
-            ),
-            VerifyCase(
-                "location r=1 theta=1: vanishing along d_{1,1} divergence",
-                "p4",
-                EXPECT_PASS,
-                _case_p4b(_loc(1.0, 1.0), d11),
-            ),
-            VerifyCase(
-                "location r=2 theta=0: vanishing along rho_2 divergence",
-                "p4",
-                EXPECT_FAIL,
-                _case_p4b_theta0(_loc(2.0, 0.0)),
-            ),
-        ]
-    )
+    cases = []
+    for families, prop, suite, expected, factory, *args in table:
+        for family in families:
+            name, depth_fn = _family(*family)
+            cases.append(VerifyCase(f"{name}: {prop}", suite, expected, factory(depth_fn, *args)))
     return cases
 
 

@@ -201,6 +201,15 @@ class TestCliDepth:
         assert main(["depth", "--input", str(path), "--method", "projection"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["natural", "projection"])
+    def test_non_finite_knot_is_a_data_error(self, tmp_path, capsys, method):
+        path = tmp_path / "inf.csv"
+        path.write_text("id,a,b,c,d,frequency\nT1,0,1,2,3,5\nT2,0,1,2,inf,5\n", encoding="utf-8")
+        assert main(["depth", "--input", str(path), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert "line 3" in captured.err
+        assert captured.out == ""
+
     def test_unknown_method_is_a_usage_error(self, trees_path):
         with pytest.raises(SystemExit) as exc:
             main(["depth", "--input", trees_path, "--method", "tukey"])

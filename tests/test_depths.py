@@ -27,6 +27,7 @@ from fuzzydepth import (
     scale,
     uniform_alphas,
 )
+from fuzzydepth.depths import DEPTH_METHODS
 
 HALF_TOL = 1e-12
 
@@ -220,12 +221,37 @@ class TestDepthConfig:
             DepthConfig(method="location", theta=-1.0)
 
     def test_depth_function_binding(self):
-        x = example_pair()
-        a = crisp_interval(3.0, 4.0)
-        fn = DepthConfig(method="natural", r=2.0).depth_function()
-        assert fn(a, x) == natural_depth(a, x, 2.0)
-        fn = DepthConfig(method="location_raised", r=2.0, theta=1.0).depth_function()
-        assert fn(a, x) == location_raised_depth(a, x, 2.0, 1.0)
+        x = make_frv([crisp_interval(1, 2), make_trapezoid(4, 5, 6, 8), crisp_interval(5, 7)])
+        queries = [crisp_interval(3.0, 4.0), make_trapezoid(0.0, 1.5, 2.0, 6.5), *x.atoms]
+        bindings = [
+            (DepthConfig(method="projection", n_alpha=7), lambda a: projection_depth(a, x, 7)),
+            (DepthConfig(method="natural", r=2.0), lambda a: natural_depth(a, x, 2.0)),
+            (
+                DepthConfig(method="natural_raised", r=1.5),
+                lambda a: natural_raised_depth(a, x, 1.5),
+            ),
+            (
+                DepthConfig(method="location", r=3.0, theta=0.5),
+                lambda a: location_depth(a, x, 3.0, 0.5),
+            ),
+            (
+                DepthConfig(method="location_raised", r=2.0, theta=1.0),
+                lambda a: location_raised_depth(a, x, 2.0, 1.0),
+            ),
+        ]
+        assert sorted(c.method for c, _ in bindings) == sorted(DEPTH_METHODS)
+        for config, alias in bindings:
+            fn = config.depth_function()
+            for a in queries:
+                assert fn(a, x) == alias(a), config.method
+
+    def test_projection_rejects_metric_parameters(self):
+        with pytest.raises(OutOfRange):
+            DepthConfig(method="projection", theta=1.0)
+        with pytest.raises(OutOfRange):
+            DepthConfig(method="projection", r=0.5)
+        with pytest.raises(OutOfRange):
+            DepthConfig(method="projection", n_alpha=0)
 
 
 class TestDepthTable:

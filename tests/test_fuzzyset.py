@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzydepth import (
     DimensionMismatch,
     DirectionGrid,
+    GridFuzzySet,
     LevelFuzzySet,
     OrderViolation,
     OutOfRange,
@@ -77,6 +78,13 @@ class TestTrapezoid:
     def test_bad_knot_order(self):
         with pytest.raises(OrderViolation):
             make_trapezoid(3.0, 2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_knots_rejected(self, bad):
+        with pytest.raises(OutOfRange):
+            make_trapezoid(0.0, 1.0, 2.0, bad)
+        with pytest.raises(OutOfRange):
+            make_trapezoid(bad, 1.0, 2.0, 3.0)
 
     def test_alpha_out_of_range(self):
         t = make_trapezoid(0.0, 1.0, 2.0, 4.0)
@@ -286,6 +294,69 @@ class TestGridFuzzySet:
         with pytest.raises(OrderViolation):
             grid_from_support(lambda u, al: 1.0 + (al if u[0] > 0.99 else 0.0),
                               self.grid, self.alphas)
+
+
+class TestPlanarInterpolation:
+    """Angular interpolation of planar support values between grid rows."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.grid = DirectionGrid.circle(24)
+        self.alphas = uniform_alphas(6)
+        self.z = grid_zonotope(
+            rng.normal(size=2), rng.normal(size=(3, 2)), self.grid, self.alphas, shrink=0.4
+        )
+
+    def at_position(self, pos):
+        """Unit vector at fractional grid position pos."""
+        t = 2.0 * math.pi * pos / self.grid.size
+        return np.array([math.cos(t), math.sin(t)])
+
+    def test_near_grid_direction_returns_stored_row(self):
+        v = self.z.values
+        for i in (0, 5, 23):
+            for offset in (0.0, 4e-10, -4e-10):
+                col = self.z.support_column(self.at_position(i + offset))
+                assert np.array_equal(col, v[i]), (i, offset)
+                assert self.z.support(self.at_position(i + offset), 0.5) == v[i, 3]
+
+    def test_off_grid_blends_neighbours(self):
+        v = self.z.values
+        n = self.grid.size
+        for i, f in ((3, 0.25), (10, 0.5), (n - 1, 0.75)):  # the last pair wraps to row 0
+            u = self.at_position(i + f)
+            frac = math.atan2(u[1], u[0]) % (2.0 * math.pi) * n / (2.0 * math.pi) - i
+            want = (1.0 - frac) * v[i] + frac * v[(i + 1) % n]
+            assert np.array_equal(self.z.support_column(u), want)
+
+    def test_resample_matches_per_row_reference(self):
+        grid = DirectionGrid.circle(10)
+        alphas = np.array([0.0, 0.07, 0.1, 1.0 / 6.0, 0.45, 0.5, 0.95, 1.0])
+        got = self.z.resample(grid, alphas).values
+        want = np.array(
+            [np.interp(alphas, self.alphas, self.z.support_column(u)) for u in grid.vectors]
+        )
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # On its own direction grid every row snaps, so only alpha is
+        # interpolated: bitwise as np.interp row by row, on rows that are not
+        # linear in alpha.
+        rng = np.random.default_rng(5)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, (self.grid.size, 1))
+        values = -np.sort(rng.normal(size=(self.grid.size, 7)) * scales, axis=1)
+        own_alphas = np.array([0.0, 0.07, 0.2, 0.45, 0.6, 0.83, 1.0])
+        s = GridFuzzySet(self.grid, own_alphas, values, validate=False)
+        by_row = [np.interp(alphas, own_alphas, row) for row in values]
+        assert np.array_equal(s.resample(self.grid, alphas).values, np.array(by_row))
+
+    def test_off_grid_matrix_transform_matches_per_row_reference(self):
+        m = np.array([[1.5, 0.4], [-0.3, 0.8]])
+        got = matrix_transform(self.z, m).values
+        want = []
+        for u in self.grid.vectors:
+            w = m.T @ u
+            norm = np.linalg.norm(w)
+            want.append(norm * self.z.support_column(w / norm))
+        np.testing.assert_allclose(got, np.array(want), rtol=0.0, atol=1e-12)
 
 
 def test_uniform_alphas_shape():

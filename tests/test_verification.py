@@ -12,6 +12,58 @@ from fuzzydepth.verification import (
 )
 
 
+# Every case of the built-in suite, in order: (name, suite, expectation).
+EXPECTED_CASES = [
+    ("projection: affine invariance", "p1", "pass"),
+    ("natural r=1: affine invariance", "p1", "fail"),
+    ("natural-raised r=2: affine invariance", "p1", "fail"),
+    ("location r=1 theta=1: affine invariance", "p1", "fail"),
+    ("location-raised r=2 theta=1: affine invariance", "p1", "fail"),
+    ("natural r=1: rigid-motion invariance (line)", "p1", "pass"),
+    ("natural-raised r=2: rigid-motion invariance (line)", "p1", "pass"),
+    ("location r=1 theta=1: rigid-motion invariance (line)", "p1", "pass"),
+    ("location-raised r=2 theta=1: rigid-motion invariance (line)", "p1", "pass"),
+    ("natural r=1: rigid-motion invariance (plane)", "p1", "pass"),
+    ("location r=2 theta=1: rigid-motion invariance (plane)", "p1", "pass"),
+    ("projection: maximal at symmetry center", "p2", "pass"),
+    ("natural r=1: maximal at symmetry center", "p2", "pass"),
+    ("natural-raised r=2: maximal at symmetry center", "p2", "pass"),
+    ("natural r=3: maximal at symmetry center", "p2", "pass"),
+    ("location r=1 theta=1: maximal at symmetry center", "p2", "pass"),
+    ("location-raised r=2 theta=5: maximal at symmetry center", "p2", "pass"),
+    ("projection: maximal at weighted median group", "p2", "pass"),
+    ("projection: decay along convex paths", "p3", "pass"),
+    ("natural r=1: decay along convex paths", "p3", "pass"),
+    ("natural-raised r=2: decay along convex paths", "p3", "pass"),
+    ("location r=1 theta=1: decay along convex paths", "p3", "pass"),
+    ("location-raised r=2 theta=1: decay along convex paths", "p3", "pass"),
+    ("projection: monotone on rho_2-collinear triples", "p3", "pass"),
+    ("natural r=1: monotone on rho_2-collinear triples", "p3", "pass"),
+    ("natural-raised r=2: monotone on d_{2,1}-collinear triples", "p3", "pass"),
+    ("location r=1 theta=1: monotone on d_{1,1}-collinear triples", "p3", "pass"),
+    ("projection: search on Hausdorff-collinear triples", "p3", "fail-or-inconclusive"),
+    ("projection: vanishing for growing translates", "p4", "pass"),
+    ("natural r=1: vanishing for growing translates", "p4", "pass"),
+    ("natural-raised r=2: vanishing for growing translates", "p4", "pass"),
+    ("location r=1 theta=1: vanishing for growing translates", "p4", "pass"),
+    ("location-raised r=2 theta=1: vanishing for growing translates", "p4", "pass"),
+    ("location r=1 theta=0: vanishing for growing translates", "p4", "fail"),
+    ("location-raised r=2 theta=0: vanishing for growing translates", "p4", "fail"),
+    ("projection: vanishing along rho_1 divergence", "p4", "pass"),
+    ("projection: vanishing along d_2 divergence", "p4", "pass"),
+    ("natural r=1: vanishing along rho_1 divergence", "p4", "pass"),
+    ("natural-raised r=2: vanishing along rho_2 divergence", "p4", "pass"),
+    ("location r=1 theta=1: vanishing along d_{1,1} divergence", "p4", "pass"),
+    ("location r=2 theta=0: vanishing along rho_2 divergence", "p4", "fail"),
+]
+
+
+def test_case_matrix_is_pinned():
+    cases = build_cases()
+    assert len(cases) == 41
+    assert [(c.name, c.suite, c.expected) for c in cases] == EXPECTED_CASES
+
+
 def test_full_suite_matches_expectations():
     rows, ok = run_suite("all", seed=0)
     assert ok
