@@ -22,6 +22,13 @@ from .fuzzyset import DEFAULT_N_ALPHA
 from .report import emit_report, emit_svg, format_table
 from .verification import format_rows, run_suite
 
+
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fuzzydepth",
@@ -41,7 +48,7 @@ def build_parser():
     common.add_argument("--theta", type=float, default=None, help="spread weight (location methods)")
     common.add_argument(
         "--alpha-grid",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_N_ALPHA,
         metavar="N",
         help=f"alpha grid size for the projection supremum (default {DEFAULT_N_ALPHA})",
@@ -115,10 +122,7 @@ def main(argv=None):
     handlers = {"depth": cmd_depth, "plot": cmd_plot, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except FuzzyDepthError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except OSError as err:
+    except (FuzzyDepthError, OSError, UnicodeDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

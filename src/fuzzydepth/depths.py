@@ -18,7 +18,7 @@ from scipy.stats import rankdata
 
 from .empirical import _mad_columns, _median_columns
 from .exceptions import DimensionMismatch, GridMismatch, OutOfRange
-from .fuzzyset import DEFAULT_N_ALPHA, merge_alphas, uniform_alphas
+from .fuzzyset import DEFAULT_N_ALPHA, LevelFuzzySet, merge_alphas, uniform_alphas
 from .metrics import MetricSpec
 
 # Depth method -> (metric family, distance raised to the power r); the
@@ -61,25 +61,14 @@ def outlyingness(a, x, n_alpha=DEFAULT_N_ALPHA):
     stored grids.
     """
     _require_compatible(a, x)
-    weights = x.weights
-    if a.dim == 1:
-        grid = merge_alphas(
-            uniform_alphas(n_alpha), a.alphas, *(atom.alphas for atom in x.atoms)
-        )
-        worst = 0.0
-        for u in (1.0, -1.0):
-            marginals = np.stack([atom.support_on(u, grid) for atom in x.atoms])
-            s_a = a.support_on(u, grid)
-            worst = max(worst, _worst_ratio(s_a, marginals, weights))
-        return worst
-    marginals = np.stack([atom.values.reshape(-1) for atom in x.atoms])
-    return _worst_ratio(a.values.reshape(-1), marginals, weights)
-
-
-def _worst_ratio(s_a, marginals, weights):
-    lo, hi = _median_columns(marginals, weights)
+    grid = a.alphas  # planar atoms share the query's grid
+    if isinstance(a, LevelFuzzySet):
+        grid = merge_alphas(uniform_alphas(n_alpha), grid, *(atom.alphas for atom in x.atoms))
+    s_a = a.support_values(grid).reshape(-1)
+    marginals = np.stack([atom.support_values(grid).reshape(-1) for atom in x.atoms])
+    lo, hi = _median_columns(marginals, x.weights)
     med = 0.5 * (lo + hi)
-    mad = _mad_columns(marginals, weights, med)
+    mad = _mad_columns(marginals, x.weights, med)
     num = np.abs(s_a - med)
     degenerate = mad == 0.0
     if np.any(degenerate & (num > 0.0)):

@@ -46,16 +46,28 @@ class MedianInterval:
         return 0.5 * (self.lo + self.hi)
 
 
-def _normalized_weights(n, weights):
+def _check_weights(weights, n, allow_zero=False):
+    """Weights of n values as a float array, finite and strictly positive.
+
+    With ``allow_zero`` zeros are accepted, as long as one weight is positive.
+    """
     if n == 0:
         raise EmptySample("no values supplied")
-    if weights is None:
-        return np.full(n, 1.0 / n)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n,):
-        raise DimensionMismatch("weights must match the number of values")
-    if np.any(weights <= 0.0):
+        raise DimensionMismatch("one weight per value is required")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise OutOfRange("weights must be finite and non-negative")
+    if not allow_zero and np.any(weights == 0.0):
         raise OutOfRange("weights must be strictly positive")
+    if not np.any(weights > 0.0):
+        raise EmptySample("at least one weight must be positive")
+    return weights
+
+
+def _normalized_weights(n, weights):
+    """Checked weights scaled to sum to one; None means equal weights."""
+    weights = _check_weights(np.ones(n) if weights is None else weights, n)
     return weights / weights.sum()
 
 
@@ -113,13 +125,7 @@ class EmpiricalFRV:
 
     def __init__(self, atoms, weights):
         atoms = tuple(atoms)
-        if not atoms:
-            raise EmptySample("a fuzzy random variable needs at least one atom")
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(atoms),):
-            raise DimensionMismatch("one weight per atom is required")
-        if np.any(weights <= 0.0):
-            raise OutOfRange("atom weights must be strictly positive")
+        weights = _check_weights(weights, len(atoms))
         if abs(weights.sum() - 1.0) > 1e-12:
             raise OutOfRange("atom weights must sum to one within 1e-12")
         dim = atoms[0].dim
@@ -169,21 +175,11 @@ def make_frv(atoms, weights=None, frequencies=None):
     if weights is not None and frequencies is not None:
         raise OutOfRange("pass either weights or frequencies, not both")
     if frequencies is not None:
-        freq = np.asarray(frequencies, dtype=float)
-        if freq.shape != (len(atoms),):
-            raise DimensionMismatch("one frequency per atom is required")
-        if np.any(freq < 0.0):
-            raise OutOfRange("frequencies must be non-negative")
+        freq = _check_weights(frequencies, len(atoms), allow_zero=True)
         keep = freq > 0.0
-        if not np.any(keep):
-            raise EmptySample("at least one atom needs positive frequency")
         atoms = [atom for atom, k in zip(atoms, keep) if k]
-        weights = freq[keep] / freq[keep].sum()
-        return EmpiricalFRV(atoms, weights)
-    if not atoms:
-        raise EmptySample("a fuzzy random variable needs at least one atom")
-    weights = _normalized_weights(len(atoms), weights)
-    return EmpiricalFRV(atoms, weights)
+        weights = freq[keep]
+    return EmpiricalFRV(atoms, _normalized_weights(len(atoms), weights))
 
 
 def support_marginal(x, u, alpha):

@@ -1,18 +1,20 @@
 """Fuzzy sets with compact convex alpha-levels on the line and the plane.
 
-Two storage schemes are used.  On the real line a fuzzy set is kept as its
-alpha-level endpoints, piecewise linear in alpha, which makes every operation
-in this module exact.  On the plane a fuzzy set is kept as a matrix of
-support-function values over finite direction and alpha grids.  Both schemes
-offer the same operations: level extraction, support evaluation, Minkowski
-sum, product by a scalar, convex combination, non-singular matrix transforms
-and the mid/spread decomposition of the support function.
+Both dimensions share one layout, the support matrix: row i holds the support
+function at direction ``directions.vectors[i]``, column j at threshold
+``alphas[j]``, and for n directions row i + n/2 is the antipode -u_i of row
+i.  On the line the directions are +1 and -1, so the two rows are hi and -lo.
+A fuzzy set on the line is stored as its alpha-level endpoints, piecewise
+linear in alpha, which makes every operation in this module exact, and
+``support_values`` builds its matrix at any alphas.  A fuzzy set on the plane
+stores the matrix itself over finite direction and alpha grids.  Both offer
+the same operations: level extraction, support evaluation, Minkowski sum,
+product by a scalar, convex combination and non-singular matrix transforms.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -41,7 +43,10 @@ def uniform_alphas(n_alpha=DEFAULT_N_ALPHA):
 
 def merge_alphas(*alpha_arrays):
     """Sorted union of several alpha breakpoint arrays."""
-    return reduce(np.union1d, alpha_arrays)
+    # One sort and a neighbour test: np.unique costs more, and every 1-D
+    # metric pair calls this.
+    merged = np.sort(np.concatenate(alpha_arrays))
+    return np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
 
 
 def _check_alpha(alpha):
@@ -103,8 +108,6 @@ class DirectionGrid:
     def antipode_indices(self):
         """Index permutation mapping each direction u to -u."""
         n = self.size
-        if self.dim == 1:
-            return np.array([1, 0])
         return (np.arange(n) + n // 2) % n
 
     def same_as(self, other):
@@ -129,6 +132,7 @@ class LevelFuzzySet:
 
     __slots__ = ("alphas", "lo", "hi")
     dim = 1
+    directions = DirectionGrid.line()
 
     def __init__(self, alphas, lo, hi, validate=True):
         self.alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -174,11 +178,10 @@ class LevelFuzzySet:
         lo, hi = self.level(alpha)
         return hi if sign > 0 else -lo
 
-    def support_on(self, u, alphas):
-        """Support values along an alpha array, for a fixed direction."""
-        sign = _line_direction(u)
+    def support_values(self, alphas):
+        """Support matrix at the given alphas: row 0 is s(+1) = hi, row 1 s(-1) = -lo."""
         lo, hi = self.endpoints(alphas)
-        return hi if sign > 0 else -lo
+        return np.array([hi, -lo])
 
     def resample(self, alphas):
         """Same fuzzy set represented on a superset of breakpoints."""
@@ -200,11 +203,8 @@ class LevelFuzzySet:
 
     def isclose(self, other, tol=1e-9):
         merged = merge_alphas(self.alphas, other.alphas)
-        lo_a, hi_a = self.endpoints(merged)
-        lo_b, hi_b = other.endpoints(merged)
-        return bool(
-            np.all(np.abs(lo_a - lo_b) <= tol) and np.all(np.abs(hi_a - hi_b) <= tol)
-        )
+        diff = self.support_values(merged) - other.support_values(merged)
+        return bool(np.all(np.abs(diff) <= tol))
 
     def __repr__(self):
         lo0, hi0 = self.lo[0], self.hi[0]
@@ -320,13 +320,10 @@ class GridFuzzySet:
         y = (cos_i * s_k - cos_k * s) / det
         return np.column_stack([x, y])
 
-    def mid_values(self):
-        anti = self.directions.antipode_indices()
-        return 0.5 * (self.values - self.values[anti])
-
-    def spr_values(self):
-        anti = self.directions.antipode_indices()
-        return 0.5 * (self.values + self.values[anti])
+    def support_values(self, alphas):
+        """Support matrix at the given alphas, each snapped like ``support``."""
+        alphas = np.asarray(alphas, dtype=float)
+        return self.values[:, np.argmin(np.abs(self.alphas - alphas[:, None]), axis=1)]
 
     def same_grids(self, other):
         return self.directions.same_as(other.directions) and np.array_equal(

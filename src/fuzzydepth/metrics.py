@@ -18,14 +18,16 @@ weights over directions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, OutOfRange
-from .fuzzyset import GridFuzzySet, LevelFuzzySet, merge_alphas
+from .fuzzyset import merge_alphas
 
 _METRIC_FAMILIES = ("d_r", "rho_r", "d_r_theta")
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 def _check_r(r, allow_inf):
@@ -37,6 +39,13 @@ def _check_r(r, allow_inf):
     if not r >= 1.0:
         raise OutOfRange(f"r must be at least 1, got {r}")
     return r
+
+
+def _check_theta(theta):
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise OutOfRange(f"theta must be finite and non-negative, got {theta}")
+    return theta
 
 
 def _same_sign_abs_pow(p, q, r):
@@ -53,7 +62,11 @@ def _same_sign_abs_pow(p, q, r):
     s = (q - p) / p
     if s == 0.0:
         return p**r
-    return p**r * math.expm1((r + 1.0) * math.log1p(s)) / ((r + 1.0) * s)
+    x = (r + 1.0) * math.log1p(s)
+    if x > _LOG_MAX_FLOAT:
+        # expm1 would overflow; p^(r+1) is then negligible next to q^(r+1)
+        return q**r / (r + 1.0) * (q / (q - p))
+    return p**r * math.expm1(x) / ((r + 1.0) * s)
 
 
 def _segment_abs_pow(a0, a1, y0, y1, r):
@@ -70,11 +83,22 @@ def _segment_abs_pow(a0, a1, y0, y1, r):
     return da * (t * _same_sign_abs_pow(y0, 0.0, r) + (1.0 - t) * _same_sign_abs_pow(0.0, y1, r))
 
 
-def _piecewise_abs_pow_integral(alphas, ys, r):
-    """Integral of |y|^r over [0, 1] for piecewise-linear y on breakpoints."""
+def _abs_pow_integral(alphas, weights, rows, r, exact):
+    """Sum over k of weights[k] times the integral of |rows[k]|^r over alpha.
+
+    With ``exact`` each row is piecewise linear between the alphas and every
+    segment is integrated in closed form; otherwise the composite trapezoidal
+    rule applies.
+    """
+    if not exact:
+        return np.trapezoid(weights @ (np.abs(rows) ** r), alphas)
+    alphas = alphas.tolist()
     total = 0.0
-    for k in range(len(alphas) - 1):
-        total += _segment_abs_pow(alphas[k], alphas[k + 1], ys[k], ys[k + 1], r)
+    for w, ys in zip(weights.tolist(), rows.tolist()):
+        row_total = 0.0
+        for k in range(len(alphas) - 1):
+            row_total += _segment_abs_pow(alphas[k], alphas[k + 1], ys[k], ys[k + 1], r)
+        total += w * row_total
     return total
 
 
@@ -98,55 +122,59 @@ def _refine_for_max(alphas, f, g):
     return merge_alphas(np.asarray(alphas), np.asarray(extra))
 
 
-def _endpoint_differences(a, b):
-    merged = merge_alphas(a.alphas, b.alphas)
-    lo_a, hi_a = a.endpoints(merged)
-    lo_b, hi_b = b.endpoints(merged)
-    return merged, lo_a - lo_b, hi_a - hi_b
+def _support_difference(a, b):
+    """Shared alphas, direction grid and the support matrix s_A - s_B.
+
+    Sets on the line meet on the union of their breakpoints; a planar b is
+    resampled onto the grids of a when they differ.
+    """
+    if a.dim != b.dim:
+        raise DimensionMismatch("metric operands must share dimension")
+    if a.dim == 1:
+        alphas = merge_alphas(a.alphas, b.alphas)
+        return alphas, a.directions, a.support_values(alphas) - b.support_values(alphas)
+    if not a.same_grids(b):
+        b = b.resample(a.directions, a.alphas)
+    return a.alphas, a.directions, a.values - b.values
 
 
 def hausdorff(i, j):
     """Hausdorff distance between two compact convex sets.
 
     Intervals are passed as (lo, hi) pairs.  Planar sets are passed as arrays
-    of support values over one shared direction grid, in which case the
-    distance is the largest absolute support difference.
+    of support values over one shared direction grid.  Either way the distance
+    is the largest absolute difference of corresponding entries.
     """
     i = np.asarray(i, dtype=float)
     j = np.asarray(j, dtype=float)
     if i.shape != j.shape:
         raise DimensionMismatch("operands must share their representation")
-    if i.ndim == 1 and i.size == 2:
-        return max(abs(i[0] - j[0]), abs(i[1] - j[1]))
     return float(np.max(np.abs(i - j)))
 
 
 def metric_d_r(a, b, r):
     """L^r aggregation over alpha of the levelwise Hausdorff distance."""
     r = _check_r(r, allow_inf=True)
-    if a.dim != b.dim:
-        raise DimensionMismatch("metric operands must share dimension")
-    if a.dim == 1:
-        merged, dlo, dhi = _endpoint_differences(a, b)
-        if math.isinf(r):
-            return float(np.max(np.maximum(np.abs(dlo), np.abs(dhi))))
-        refined = _refine_for_max(merged, dlo, dhi)
-        f = np.interp(refined, merged, dlo)
-        g = np.interp(refined, merged, dhi)
-        total = 0.0
-        for k in range(len(refined) - 1):
-            # After refinement one branch dominates the whole segment, so the
-            # absolute values at the segment midpoint decide which one.
-            mid_f = abs(0.5 * (f[k] + f[k + 1]))
-            mid_g = abs(0.5 * (g[k] + g[k + 1]))
-            y0, y1 = (f[k], f[k + 1]) if mid_f >= mid_g else (g[k], g[k + 1])
-            total += _segment_abs_pow(refined[k], refined[k + 1], y0, y1, r)
-        return total ** (1.0 / r)
-    a, b = _aligned_grids(a, b)
-    per_alpha = np.max(np.abs(a.values - b.values), axis=0)
+    alphas, _, diff = _support_difference(a, b)
     if math.isinf(r):
-        return float(np.max(per_alpha))
-    return float(np.trapezoid(per_alpha**r, a.alphas) ** (1.0 / r))
+        return float(np.max(np.abs(diff)))
+    if a.dim == 2:
+        per_alpha = np.max(np.abs(diff), axis=0)
+        return float(np.trapezoid(per_alpha**r, alphas) ** (1.0 / r))
+    g, f = diff  # the s(+1) and s(-1) rows
+    refined = _refine_for_max(alphas, f, g)
+    f = np.interp(refined, alphas, f).tolist()
+    g = np.interp(refined, alphas, g).tolist()
+    refined = refined.tolist()
+    total = 0.0
+    for k in range(len(refined) - 1):
+        # After refinement one branch dominates the whole segment, so the
+        # absolute values at the segment midpoint decide which one.
+        mid_f = abs(0.5 * (f[k] + f[k + 1]))
+        mid_g = abs(0.5 * (g[k] + g[k + 1]))
+        y0, y1 = (f[k], f[k + 1]) if mid_f >= mid_g else (g[k], g[k + 1])
+        total += _segment_abs_pow(refined[k], refined[k + 1], y0, y1, r)
+    return total ** (1.0 / r)
 
 
 def metric_rho_r(a, b, r):
@@ -156,16 +184,9 @@ def metric_rho_r(a, b, r):
     line, 1/n_dir on the planar grid.
     """
     r = _check_r(r, allow_inf=False)
-    if a.dim != b.dim:
-        raise DimensionMismatch("metric operands must share dimension")
-    if a.dim == 1:
-        merged, dlo, dhi = _endpoint_differences(a, b)
-        total = 0.5 * _piecewise_abs_pow_integral(merged, dhi, r)
-        total += 0.5 * _piecewise_abs_pow_integral(merged, dlo, r)
-        return total ** (1.0 / r)
-    a, b = _aligned_grids(a, b)
-    per_alpha = a.directions.weights @ (np.abs(a.values - b.values) ** r)
-    return float(np.trapezoid(per_alpha, a.alphas) ** (1.0 / r))
+    alphas, directions, diff = _support_difference(a, b)
+    total = _abs_pow_integral(alphas, directions.weights, diff, r, directions.dim == 1)
+    return float(total ** (1.0 / r))
 
 
 def metric_d_r_theta(a, b, r, theta):
@@ -176,33 +197,18 @@ def metric_d_r_theta(a, b, r, theta):
     only defines a pseudometric: sets sharing midpoints are at distance zero.
     """
     r = _check_r(r, allow_inf=False)
-    theta = float(theta)
-    if theta < 0.0:
-        raise OutOfRange(f"theta must be non-negative, got {theta}")
-    if a.dim != b.dim:
-        raise DimensionMismatch("metric operands must share dimension")
-    if a.dim == 1:
-        merged, dlo, dhi = _endpoint_differences(a, b)
-        dmid = 0.5 * (dhi + dlo)
-        dspr = 0.5 * (dhi - dlo)
-        total = _piecewise_abs_pow_integral(merged, dmid, r)
-        total += theta * _piecewise_abs_pow_integral(merged, dspr, r)
-        return total ** (1.0 / r)
-    a, b = _aligned_grids(a, b)
-    dmid = a.mid_values() - b.mid_values()
-    dspr = a.spr_values() - b.spr_values()
-    w = a.directions.weights
-    mid_term = np.trapezoid(w @ (np.abs(dmid) ** r), a.alphas)
-    spr_term = np.trapezoid(w @ (np.abs(dspr) ** r), a.alphas)
-    return float((mid_term + theta * spr_term) ** (1.0 / r))
-
-
-def _aligned_grids(a, b):
-    if not isinstance(a, GridFuzzySet) or not isinstance(b, GridFuzzySet):
-        raise DimensionMismatch("planar metric operands must be grid fuzzy sets")
-    if not a.same_grids(b):
-        b = b.resample(a.directions, a.alphas)
-    return a, b
+    theta = _check_theta(theta)
+    alphas, directions, diff = _support_difference(a, b)
+    # |mid| and spr take equal values at u and -u, so the first half of the
+    # directions, at twice their weight, carries each whole norm.
+    half = directions.size // 2
+    weights = 2.0 * directions.weights[:half]
+    head, tail = diff[:half], diff[half:]
+    rows = np.concatenate([head - tail, head + tail])
+    rows *= 0.5
+    weights = np.concatenate([weights, theta * weights])
+    total = _abs_pow_integral(alphas, weights, rows, r, directions.dim == 1)
+    return float(total ** (1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -218,8 +224,9 @@ class MetricSpec:
             raise OutOfRange(f"unknown metric family {self.family!r}")
         _check_r(self.r, allow_inf=self.family == "d_r")
         if self.family == "d_r_theta":
-            if self.theta is None or self.theta < 0.0:
-                raise OutOfRange("d_r_theta requires theta >= 0")
+            if self.theta is None:
+                raise OutOfRange("d_r_theta requires theta")
+            _check_theta(self.theta)
         elif self.theta is not None:
             raise OutOfRange(f"theta does not apply to family {self.family!r}")
 

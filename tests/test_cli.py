@@ -225,6 +225,29 @@ class TestCliDepth:
             main(["depth", "--input", trees_path, "--method", "natural", "--theta", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("theta", ["-1", "nan", "inf"])
+    def test_bad_theta_is_a_data_error(self, trees_path, capsys, theta):
+        argv = ["depth", "--input", trees_path, "--method", "location", "--r", "2"]
+        assert main([*argv, "--theta", theta]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,a,b,c,d,frequency\nT\xff,0,1,2,3,5\n")
+        assert main(["depth", "--input", str(path), "--method", "projection"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("size", ["0", "-3", "ten"])
+    def test_bad_alpha_grid_is_a_usage_error(self, trees_path, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["depth", "--input", trees_path, "--method", "projection", "--alpha-grid", size])
+        assert exc.value.code == 2
+        assert "--alpha-grid" in capsys.readouterr().err
+
     def test_bad_r_is_a_data_error(self, trees_path, capsys):
         assert main(["depth", "--input", trees_path, "--method", "natural", "--r", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err

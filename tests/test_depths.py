@@ -217,8 +217,9 @@ class TestDepthConfig:
             DepthConfig(method="location")  # theta missing
         with pytest.raises(OutOfRange):
             DepthConfig(method="natural", theta=1.0)  # theta not accepted
-        with pytest.raises(OutOfRange):
-            DepthConfig(method="location", theta=-1.0)
+        for theta in (-1.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange):
+                DepthConfig(method="location", theta=theta)
 
     def test_depth_function_binding(self):
         x = make_frv([crisp_interval(1, 2), make_trapezoid(4, 5, 6, 8), crisp_interval(5, 7)])

@@ -146,6 +146,12 @@ class TestEmpiricalFRV:
         with pytest.raises(OutOfRange):
             make_frv([crisp_interval(0.0, 1.0)], frequencies=[-1])
 
+    def test_non_finite_frequencies_rejected(self):
+        atoms = [crisp_interval(0.0, 1.0), crisp_interval(1.0, 2.0)]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(OutOfRange):
+                make_frv(atoms, frequencies=[1, bad])
+
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             make_frv([])
@@ -158,6 +164,13 @@ class TestEmpiricalFRV:
             EmpiricalFRV(atoms, [0.5, 0.6])
         with pytest.raises(OutOfRange):
             EmpiricalFRV(atoms, [1.0, -0.1])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(OutOfRange):
+                EmpiricalFRV(atoms, [bad, 0.5])
+            with pytest.raises(OutOfRange):
+                make_frv(atoms[:1], weights=[bad])
+            with pytest.raises(OutOfRange):
+                make_frv(atoms, weights=[1.0, bad])
 
     def test_mixed_dimensions_rejected(self):
         grid = DirectionGrid.circle(8)

@@ -183,6 +183,16 @@ class TestLineArithmetic:
                 want = 0.0
             assert support(s, [u], alpha) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @given(trapezoids(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_support_values_rows(self, a, alphas):
+        # row 0 is the support at u = +1 and row 1 the support at u = -1
+        rows = a.support_values(alphas)
+        assert rows.shape == (2, len(alphas))
+        for j, alpha in enumerate(alphas):
+            assert rows[0, j] == support(a, [1.0], alpha)
+            assert rows[1, j] == support(a, [-1.0], alpha)
+
     @given(trapezoids())
     @settings(max_examples=100, deadline=None)
     def test_levels_nested(self, a):
@@ -288,6 +298,15 @@ class TestGridFuzzySet:
         rebuilt = grid_from_support(lambda u, al: z.support(u, al), self.grid, self.alphas)
         assert np.allclose(rebuilt.values, z.values, atol=1e-12)
 
+    def test_support_values_snap_like_support(self):
+        z = grid_zonotope([0.5, -1.0], [[1.0, 0.2], [0.0, 0.7]], self.grid, self.alphas)
+        alphas = [0.0, 0.06, 0.3, 0.5, 0.99, 1.0]
+        rows = z.support_values(alphas)
+        assert np.array_equal(z.support_values(self.alphas), z.values)
+        for i, u in enumerate(self.grid.vectors):
+            for j, alpha in enumerate(alphas):
+                assert rows[i, j] == z.support(u, alpha)
+
     def test_alpha_monotonicity_enforced(self):
         values = np.ones((16, 9))
         values[0, -1] = 2.0  # support growing in alpha: levels not nested
@@ -369,6 +388,8 @@ def test_uniform_alphas_shape():
 def test_merge_alphas_union():
     merged = merge_alphas(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0]))
     assert list(merged) == [0.0, 0.25, 0.5, 1.0]
+    merged = merge_alphas(np.array([0.0, 1.0]), np.array([0.0, 0.75, 1.0]), np.array([0.0, 0.5, 0.75, 1.0]))
+    assert list(merged) == [0.0, 0.5, 0.75, 1.0]
 
 
 def test_crisp_point_is_degenerate():

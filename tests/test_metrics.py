@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fuzzydepth import (
@@ -26,6 +27,7 @@ from fuzzydepth import (
     scale,
     uniform_alphas,
 )
+from fuzzydepth.metrics import _refine_for_max, _segment_abs_pow
 
 
 def random_trapezoid(rng, span=10.0):
@@ -41,6 +43,95 @@ def random_pl_set(rng, max_interior=4):
     lo = rng.uniform(-10.0, -8.0) + np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, n - 1))])
     hi = rng.uniform(5.0, 7.0) - np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, n - 1))])
     return LevelFuzzySet(alphas, lo, hi)
+
+
+# Reference: the 1-D metrics written on the lo/hi level endpoints, each
+# segment integrated in closed form.  The library computes them from the
+# support matrix (rows s(+1) = hi and s(-1) = -lo) and must agree bitwise.
+
+
+def _endpoint_differences(a, b):
+    merged = np.union1d(a.alphas, b.alphas)
+    lo_a, hi_a = a.endpoints(merged)
+    lo_b, hi_b = b.endpoints(merged)
+    return merged, lo_a - lo_b, hi_a - hi_b
+
+
+def _piecewise_abs_pow_integral(alphas, ys, r):
+    alphas, ys = alphas.tolist(), ys.tolist()  # Python floats, like the library
+    total = 0.0
+    for k in range(len(alphas) - 1):
+        total += _segment_abs_pow(alphas[k], alphas[k + 1], ys[k], ys[k + 1], r)
+    return total
+
+
+def reference_rho_r(a, b, r):
+    merged, dlo, dhi = _endpoint_differences(a, b)
+    total = 0.5 * _piecewise_abs_pow_integral(merged, dhi, r)
+    total += 0.5 * _piecewise_abs_pow_integral(merged, dlo, r)
+    return total ** (1.0 / r)
+
+
+def reference_d_r_theta(a, b, r, theta):
+    merged, dlo, dhi = _endpoint_differences(a, b)
+    total = _piecewise_abs_pow_integral(merged, 0.5 * (dhi + dlo), r)
+    total += theta * _piecewise_abs_pow_integral(merged, 0.5 * (dhi - dlo), r)
+    return total ** (1.0 / r)
+
+
+def reference_d_r(a, b, r):
+    merged, dlo, dhi = _endpoint_differences(a, b)
+    if math.isinf(r):
+        return float(np.max(np.maximum(np.abs(dlo), np.abs(dhi))))
+    refined = _refine_for_max(merged, dlo, dhi)
+    f = np.interp(refined, merged, dlo).tolist()
+    g = np.interp(refined, merged, dhi).tolist()
+    refined = refined.tolist()
+    total = 0.0
+    for k in range(len(refined) - 1):
+        mid_f = abs(0.5 * (f[k] + f[k + 1]))
+        mid_g = abs(0.5 * (g[k] + g[k + 1]))
+        y0, y1 = (f[k], f[k + 1]) if mid_f >= mid_g else (g[k], g[k + 1])
+        total += _segment_abs_pow(refined[k], refined[k + 1], y0, y1, r)
+    return total ** (1.0 / r)
+
+
+@st.composite
+def trapezoid_pairs(draw):
+    def knots():
+        a = draw(st.floats(-50, 50))
+        b = a + draw(st.floats(0, 10))
+        c = b + draw(st.floats(0, 10))
+        return a, b, c, c + draw(st.floats(0, 10))
+
+    return make_trapezoid(*knots()), make_trapezoid(*knots())
+
+
+class TestEndpointReference:
+    """The support-matrix metrics equal the endpoint formulas bitwise on the line."""
+
+    @given(
+        trapezoid_pairs(),
+        st.sampled_from([1.0, 1.5, 2.0, 3.5]),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_trapezoid_pairs_bitwise(self, pair, r, theta):
+        a, b = pair
+        assert metric_rho_r(a, b, r) == reference_rho_r(a, b, r)
+        assert metric_d_r_theta(a, b, r, theta) == reference_d_r_theta(a, b, r, theta)
+        assert metric_d_r(a, b, r) == reference_d_r(a, b, r)
+        assert metric_d_r(a, b, math.inf) == reference_d_r(a, b, math.inf)
+
+    def test_piecewise_linear_pairs_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            a, b = random_pl_set(rng), random_pl_set(rng)
+            for r in (1.0, 1.5, 2.0, 3.5):
+                assert metric_rho_r(a, b, r) == reference_rho_r(a, b, r)
+                assert metric_d_r_theta(a, b, r, 0.7) == reference_d_r_theta(a, b, r, 0.7)
+                assert metric_d_r(a, b, r) == reference_d_r(a, b, r)
+            assert metric_d_r(a, b, math.inf) == reference_d_r(a, b, math.inf)
 
 
 class TestHausdorff:
@@ -184,6 +275,17 @@ class TestQuadratureOracle:
             got = metric_rho_r(base, wobble, r)
             assert got == pytest.approx(0.25, rel=1e-12)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 2.2e-309, 1e-300, 1e-200, 1e-150])
+    def test_steep_segments_stay_finite(self, tiny):
+        # a segment running from 1 down to a tiny value: the ratio of its ends
+        # overflows the closed form's exponential, the limit is the p = 0 one
+        origin, steep = crisp_point(0.0), make_trapezoid(0.0, tiny, tiny, 1.0)
+        assert metric_rho_r(origin, steep, 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert metric_d_r(origin, steep, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert metric_d_r_theta(origin, steep, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+        want = (0.5 / 4.5) ** (1.0 / 3.5)  # 0.5 * integral of (1 - alpha)^3.5
+        assert metric_rho_r(origin, steep, 3.5) == pytest.approx(want, rel=1e-12)
+
 
 class TestMetricAxioms:
     def test_axioms_on_seeded_triples(self):
@@ -275,6 +377,22 @@ class TestPlanarMetrics:
         d1 = metric_rho_r(add(self.a, w), add(self.b, w), 2.0)
         assert d1 == pytest.approx(d0, abs=1e-9)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5])
+    def test_d_r_theta_half_rows_match_full_sum(self, r, theta):
+        # the metric sums mid/spr over half the directions at double weight;
+        # the full sum over every direction u and its antipode must agree
+        for b in (self.b, self.b.resample(DirectionGrid.circle(144), uniform_alphas(24))):
+            if not self.a.same_grids(b):
+                b = b.resample(self.grid, self.alphas)
+            diff = self.a.values - b.values
+            anti = self.grid.antipode_indices()
+            w = self.grid.weights
+            mid_term = np.trapezoid(w @ np.abs(0.5 * (diff - diff[anti])) ** r, self.alphas)
+            spr_term = np.trapezoid(w @ np.abs(0.5 * (diff + diff[anti])) ** r, self.alphas)
+            want = (mid_term + theta * spr_term) ** (1.0 / r)
+            assert metric_d_r_theta(self.a, b, r, theta) == pytest.approx(want, rel=1e-12)
+
     def test_resample_alignment(self):
         other = self.b.resample(DirectionGrid.circle(144), uniform_alphas(24))
         d_same = metric_rho_r(self.a, self.b, 2.0)
@@ -308,8 +426,12 @@ class TestMetricSpec:
             MetricSpec("rho_r", math.inf)  # sup form only exists for d_r
         with pytest.raises(OutOfRange):
             MetricSpec("d_r_theta", 1.0)  # theta missing
-        with pytest.raises(OutOfRange):
-            MetricSpec("d_r_theta", 1.0, -1.0)
+        a, b = crisp_interval(0.0, 1.0), crisp_interval(2.0, 3.0)
+        for theta in (-1.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange):
+                MetricSpec("d_r_theta", 1.0, theta)
+            with pytest.raises(OutOfRange):
+                metric_d_r_theta(a, b, 1.0, theta)
         with pytest.raises(OutOfRange):
             MetricSpec("rho_r", 1.0, 1.0)  # theta not applicable
 
