@@ -6,6 +6,11 @@ are one ``metric_depth``, the inverted expected distance to the atoms:
 ``natural_depth`` uses the support metric rho_r, ``location_depth`` the
 mid/spread metric d_{r,theta}, and the raised variants use the r-th powers of
 those distances.  All five map into [0, 1], larger meaning more central.
+
+Every depth reads the sample through its cached fit (``EmpiricalFRV.fit``):
+the support matrices of the atoms and the median/MAD profiles are computed
+once per sample, and each query is then scored against all atoms at once.
+Atoms and weights of a sample are treated as immutable.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .empirical import _mad_columns, _median_columns
 from .exceptions import DimensionMismatch, GridMismatch, OutOfRange
-from .fuzzyset import DEFAULT_N_ALPHA, LevelFuzzySet, merge_alphas, uniform_alphas
-from .metrics import MetricSpec
+from .fuzzyset import DEFAULT_N_ALPHA, missing_alphas
+from .metrics import MetricSpec, metric_powers
 
 # Depth method -> (metric family, distance raised to the power r); the
 # projection depth uses no metric.
@@ -59,17 +63,25 @@ def outlyingness(a, x, n_alpha=DEFAULT_N_ALPHA):
     supports or two absolute deviations cross, so the value returned is a
     lower bound on the exact supremum.  Planar sets are evaluated on their
     stored grids.
+
+    The sample's median and MAD on that grid are cached per ``n_alpha``; a
+    query breakpoint off the grid gets its own median and MAD columns, which
+    are computed, not interpolated.
     """
     _require_compatible(a, x)
-    grid = a.alphas  # planar atoms share the query's grid
-    if isinstance(a, LevelFuzzySet):
-        grid = merge_alphas(uniform_alphas(n_alpha), grid, *(atom.alphas for atom in x.atoms))
-    s_a = a.support_values(grid).reshape(-1)
-    marginals = np.stack([atom.support_values(grid).reshape(-1) for atom in x.atoms])
-    lo, hi = _median_columns(marginals, x.weights)
-    med = 0.5 * (lo + hi)
-    mad = _mad_columns(marginals, x.weights, med)
-    num = np.abs(s_a - med)
+    fit = x.fit()
+    alphas, med, mad = fit.projection_profile(n_alpha)
+    out = _worst_ratio(a.support_values(alphas), med, mad)
+    if a.dim == 1:
+        extra = missing_alphas(a.alphas, alphas)
+        if extra.size:
+            out = max(out, _worst_ratio(a.support_values(extra), *fit.median_mad(extra)))
+    return out
+
+
+def _worst_ratio(s_a, med, mad):
+    """Largest |s_A - med| / MAD over all entries; 0/0 counts 0 and x/0 inf."""
+    num = np.abs(s_a.reshape(-1) - med)
     degenerate = mad == 0.0
     if np.any(degenerate & (num > 0.0)):
         return math.inf
@@ -88,15 +100,18 @@ def projection_depth(a, x, n_alpha=DEFAULT_N_ALPHA):
 def metric_depth(a, x, metric, raised=False):
     """Depth 1 / (1 + E m(A, X)), or 1 / (1 + E m(A, X)^r) when ``raised``.
 
-    ``metric`` is a MetricSpec; its exponent r is the one the distance is
-    raised to.  The four L^r-type depths of the paper are this function with
-    the rho_r or the d_{r,theta} family.
+    ``metric`` is a MetricSpec of the rho_r or the d_{r,theta} family; its
+    exponent r is the one the distance is raised to.  The four L^r-type depths
+    of the paper are this function.  The distances to all atoms of the
+    sample's fit are evaluated at once; OutOfRange reports r-th powers that
+    overflow.
     """
     _require_compatible(a, x)
-    if raised:
-        r = float(metric.r)
-        return 1.0 / (1.0 + x.expectation(lambda atom: metric(a, atom) ** r))
-    return 1.0 / (1.0 + x.expectation(lambda atom: metric(a, atom)))
+    powers = np.empty(x.size)
+    for block in x.fit().blocks:
+        powers[block.index] = metric_powers(metric, a, block)
+    distances = powers if raised else powers ** (1.0 / float(metric.r))
+    return 1.0 / (1.0 + float(x.weights @ distances))
 
 
 def natural_depth(a, x, r):

@@ -4,6 +4,11 @@ An empirical fuzzy random variable is a finite family of fuzzy-set atoms with
 positive weights summing to one.  Expectations over it are exact weighted
 sums; nothing here is sampled.
 
+What the depths need of a sample is fitted once and cached on it: the atoms'
+support matrices stacked by breakpoint grid, and the median/MAD profiles of
+the projection depth.  Atoms and weights are therefore treated as immutable;
+the variable keeps its own read-only copy of the weights.
+
 The weighted median follows the interval convention: the lower endpoint is
 the smallest value y with P(Y <= y) >= 1/2, the upper endpoint the largest y
 with P(Y >= y) >= 1/2, and the reported point is the midpoint of that
@@ -26,7 +31,7 @@ from .exceptions import (
     OrderViolation,
     OutOfRange,
 )
-from .fuzzyset import GridFuzzySet, LevelFuzzySet, merge_alphas
+from .fuzzyset import GridFuzzySet, LevelFuzzySet, merge_alphas, uniform_alphas
 
 # Slack on the cumulative-weight comparisons so that weights like 1/3, whose
 # partial sums only reach 0.5 up to rounding, still split correctly.
@@ -113,15 +118,143 @@ def weighted_mad(values, weights=None):
     return weighted_median(np.abs(values - center), weights).point
 
 
+class SupportBlock:
+    """Atoms with the same number of breakpoints, their support matrices stacked.
+
+    Row i is atom ``index[i]``: ``alphas[i]`` are its own breakpoints and
+    ``values[i]`` its support matrix there, so the block has shape
+    (m, n_dir, K) and no atom is resampled.  ``shared`` holds the alphas that
+    every row has in the same column: all of them when the atoms share one
+    grid, as trapezoids and planar atoms do, and at least 0 and 1.
+    """
+
+    __slots__ = ("alphas", "index", "values", "shared")
+
+    def __init__(self, alphas, index, values):
+        self.alphas = alphas
+        self.index = index
+        self.values = values
+        self.shared = alphas[0][np.all(alphas == alphas[0], axis=0)]
+
+    def at(self, alphas):
+        """Every atom's support matrix at the sorted ``alphas``, (m, n_dir, len(alphas)).
+
+        Planar blocks take only their own grid.  On the line the endpoints are
+        linear between each atom's breakpoints, so this is exact, and bitwise
+        what ``support_values`` gives.
+        """
+        if len(self.shared) == self.alphas.shape[1] and np.array_equal(alphas, self.shared):
+            return self.values
+        return _interp_rows(alphas, self.alphas, self.values)
+
+    def with_breakpoints(self, extra):
+        """Each atom's breakpoints merged with the sorted ``extra``, and its values there.
+
+        Returns (alphas, values) of shapes (m, K + len(extra)) and
+        (m, n_dir, K + len(extra)); an extra alpha that is already a
+        breakpoint of a row repeats it, a segment of length zero.
+        """
+        if not extra.size:
+            return self.alphas, self.values
+        m = len(self.alphas)
+        alphas = np.concatenate([self.alphas, np.broadcast_to(extra, (m, len(extra)))], axis=1)
+        values = np.concatenate([self.values, _interp_rows(extra, self.alphas, self.values)], axis=2)
+        order = np.argsort(alphas, axis=1, kind="stable")
+        return (
+            np.take_along_axis(alphas, order, axis=1),
+            np.take_along_axis(values, order[:, None, :], axis=2),
+        )
+
+
+def _interp_rows(x, xp, fp):
+    """``np.interp(x, xp[i], fp[i, d])`` for every row i and every d at once.
+
+    x is sorted and within every row's range; xp is (m, K) with sorted rows
+    and fp (m, n, K).  Like ``_interp_columns`` this is np.interp's formula
+    and returns the stored value exactly at a node, so it is bitwise a loop
+    of np.interp calls.
+    """
+    m, k = xp.shape
+    nodes = np.concatenate([xp, np.broadcast_to(x, (m, len(x)))], axis=1)
+    is_node = np.argsort(nodes, axis=1, kind="stable") < k
+    # after a stable sort, the last node at or before each x
+    j = (np.cumsum(is_node, axis=1) - 1)[~is_node].reshape(m, len(x))
+    j1 = np.minimum(j + 1, k - 1)
+    x0, x1 = np.take_along_axis(xp, j, axis=1), np.take_along_axis(xp, j1, axis=1)
+    f0 = np.take_along_axis(fp, j[:, None, :], axis=2)
+    f1 = np.take_along_axis(fp, j1[:, None, :], axis=2)
+    slope = (f1 - f0) / np.where(x1 > x0, x1 - x0, 1.0)[:, None, :]
+    return np.where((x == x0)[:, None, :], f0, slope * (x - x0)[:, None, :] + f0)
+
+
+class SampleFit:
+    """Everything the depths compute from a sample alone, built once.
+
+    ``blocks`` stacks the atoms by their number of breakpoints, each atom on
+    its own breakpoints (all trapezoids share [0, 1], planar atoms share
+    their grid).  No atom is put on the union of all breakpoints, which grows
+    with the sample.  Median/MAD profiles are computed on demand and cached
+    per alpha grid size.
+    """
+
+    __slots__ = ("dim", "size", "weights", "blocks", "_profiles")
+
+    def __init__(self, atoms, weights):
+        groups = {}
+        for i, atom in enumerate(atoms):
+            groups.setdefault(len(atom.alphas), []).append(i)
+        self.dim = atoms[0].dim
+        self.size = len(atoms)
+        self.weights = weights
+        self.blocks = tuple(
+            SupportBlock(
+                np.stack([atoms[i].alphas for i in index]),
+                np.array(index),
+                np.stack([atoms[i].support_values(atoms[i].alphas) for i in index]),
+            )
+            for index in groups.values()
+        )
+        self._profiles = {}
+
+    def support_columns(self, alphas):
+        """Each atom's support matrix at ``alphas``, one flattened row per atom."""
+        n_dir = self.blocks[0].values.shape[1]
+        out = np.empty((self.size, n_dir, len(alphas)))
+        for block in self.blocks:
+            out[block.index] = block.at(alphas)
+        return out.reshape(self.size, -1)
+
+    def median_mad(self, alphas):
+        """Weighted median points and MADs of the support columns at ``alphas``."""
+        values = self.support_columns(alphas)
+        lo, hi = _median_columns(values, self.weights)
+        med = 0.5 * (lo + hi)
+        return med, _mad_columns(values, self.weights, med)
+
+    def projection_profile(self, n_alpha):
+        """(alphas, median, MAD) of the projection depth, cached per ``n_alpha``.
+
+        On the line the alphas are the uniform grid of ``n_alpha`` steps plus
+        every breakpoint of the atoms; planar atoms use their stored grid.
+        """
+        if n_alpha not in self._profiles:
+            alphas = self.blocks[0].shared
+            if self.dim == 1:
+                alphas = merge_alphas(uniform_alphas(n_alpha), *(b.alphas.ravel() for b in self.blocks))
+            self._profiles[n_alpha] = (alphas, *self.median_mad(alphas))
+        return self._profiles[n_alpha]
+
+
 class EmpiricalFRV:
     """Finitely supported fuzzy random variable.
 
     Atoms are fuzzy sets of one common dimension; weights are positive and
     sum to one within 1e-12.  Planar atoms must share their direction and
-    alpha grids.
+    alpha grids.  ``fit()`` caches the sample's SampleFit, so atoms must not
+    be modified after construction; ``weights`` is a read-only copy.
     """
 
-    __slots__ = ("atoms", "weights")
+    __slots__ = ("atoms", "weights", "_fit")
 
     def __init__(self, atoms, weights):
         atoms = tuple(atoms)
@@ -138,7 +271,15 @@ class EmpiricalFRV:
                 if not first.same_grids(atom):
                     raise GridMismatch("planar atoms must share their grids")
         self.atoms = atoms
-        self.weights = weights
+        self.weights = weights.copy()
+        self.weights.flags.writeable = False
+        self._fit = None
+
+    def fit(self):
+        """The sample's SampleFit, built on first use and then reused."""
+        if self._fit is None:
+            self._fit = SampleFit(self.atoms, self.weights)
+        return self._fit
 
     @property
     def dim(self):

@@ -49,6 +49,12 @@ def merge_alphas(*alpha_arrays):
     return np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
 
 
+def missing_alphas(alphas, grid):
+    """The entries of ``alphas`` that are not in the sorted ``grid``."""
+    pos = np.minimum(np.searchsorted(grid, alphas), len(grid) - 1)
+    return alphas[grid[pos] != alphas]
+
+
 def _check_alpha(alpha):
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -143,6 +149,8 @@ class LevelFuzzySet:
 
     def _validate(self):
         a = self.alphas
+        if not all(np.all(np.isfinite(v)) for v in (a, self.lo, self.hi)):
+            raise OutOfRange("breakpoints and endpoints must be finite")
         if a.ndim != 1 or len(a) < 2 or a[0] != 0.0 or a[-1] != 1.0:
             raise OutOfRange("alpha breakpoints must run from 0 to 1")
         if np.any(np.diff(a) <= 0):
@@ -262,6 +270,8 @@ class GridFuzzySet:
 
     def _validate(self):
         a = self.alphas
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(self.values))):
+            raise OutOfRange("alpha grid and support values must be finite")
         if a.ndim != 1 or len(a) < 2 or a[0] != 0.0 or a[-1] != 1.0 or np.any(np.diff(a) <= 0):
             raise OutOfRange("alpha grid must increase strictly from 0 to 1")
         if self.values.shape != (self.directions.size, len(a)):
@@ -417,7 +427,7 @@ def grid_zonotope(center, generators, directions, alphas, shrink=0.5):
     The level at alpha is center + (1 - shrink * alpha) * Z where Z is the
     zonotope spanned by the generator segments, so the support values are
     <u, center> + (1 - shrink * alpha) * sum_k |<u, g_k>|.  ``shrink`` must
-    lie in [0, 1].
+    lie in [0, 1]; inputs and support values must be finite.
     """
     center = np.asarray(center, dtype=float).reshape(2)
     generators = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -425,9 +435,14 @@ def grid_zonotope(center, generators, directions, alphas, shrink=0.5):
     shrink = float(shrink)
     if not 0.0 <= shrink <= 1.0:
         raise OutOfRange(f"shrink must lie in [0, 1], got {shrink}")
-    base = np.abs(directions.vectors @ generators.T).sum(axis=1)
-    col = directions.vectors @ center
-    values = col[:, None] + base[:, None] * (1.0 - shrink * alphas)[None, :]
+    if not all(np.all(np.isfinite(v)) for v in (center, generators, alphas)):
+        raise OutOfRange("center, generators and alphas must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.abs(directions.vectors @ generators.T).sum(axis=1)
+        col = directions.vectors @ center
+        values = col[:, None] + base[:, None] * (1.0 - shrink * alphas)[None, :]
+    if not np.all(np.isfinite(values)):
+        raise OutOfRange("support values overflow the float range")
     return GridFuzzySet(directions, alphas, values, validate=False)
 
 

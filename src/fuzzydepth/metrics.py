@@ -12,22 +12,28 @@ For one-dimensional sets every endpoint is piecewise linear in alpha, so all
 integrals are evaluated segment by segment in closed form and the returned
 values are exact up to floating-point rounding.  Planar sets are handled on
 their grids with the composite trapezoidal rule over alpha and the uniform
-weights over directions.
+weights over directions.  An r-th power past the float range raises
+OutOfRange.
+
+``metric_powers`` gives the r-th powers of rho_r or d_{r,theta} from one set
+to a whole stack of support matrices at once, with the same rules; the depths
+use it, and the pairwise functions are its reference.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, OutOfRange
-from .fuzzyset import merge_alphas
+from .fuzzyset import merge_alphas, missing_alphas
 
 _METRIC_FAMILIES = ("d_r", "rho_r", "d_r_theta")
-_LOG_MAX_FLOAT = math.log(sys.float_info.max)
+# Temporaries of a batched metric hold about this many floats: a planar
+# (360, 21) stack is then cut into 8-set chunks, which stay in cache.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def _check_r(r, allow_inf):
@@ -48,25 +54,29 @@ def _check_theta(theta):
     return theta
 
 
+def _overflow(r):
+    return OutOfRange(f"r-th powers at r = {r:g} overflow the float range")
+
+
 def _same_sign_abs_pow(p, q, r):
     """Mean of |y|^r over a linear segment running from p to q, p*q >= 0.
 
-    Written without the antiderivative difference (q^{r+1} - p^{r+1}), which
-    cancels catastrophically when the segment is nearly level.
+    With t = |p| / |q| <= 1 the mean is q^r (1 - t^(r+1)) / ((r + 1)(1 - t)).
+    That form cannot cancel when q > 2p; otherwise both differences are
+    formed without cancellation, as 1 - t = (q - p) / q and
+    1 - t^(r+1) = -expm1(-(r + 1) log1p((q - p) / p)).
     """
     p, q = sorted((abs(p), abs(q)))
-    if q == 0.0:
-        return 0.0
-    if p == 0.0:
-        return q**r / (r + 1.0)
-    s = (q - p) / p
-    if s == 0.0:
-        return p**r
-    x = (r + 1.0) * math.log1p(s)
-    if x > _LOG_MAX_FLOAT:
-        # expm1 would overflow; p^(r+1) is then negligible next to q^(r+1)
-        return q**r / (r + 1.0) * (q / (q - p))
-    return p**r * math.expm1(x) / ((r + 1.0) * s)
+    try:
+        if q > 2.0 * p:
+            t = p / q
+            return q**r * (1.0 - t ** (r + 1.0)) / ((r + 1.0) * (1.0 - t))
+        if q == p:
+            return p**r
+        x = (r + 1.0) * math.log1p((q - p) / p)
+        return q**r * (-math.expm1(-x) / ((r + 1.0) * ((q - p) / q)))
+    except OverflowError as err:
+        raise _overflow(r) from err
 
 
 def _segment_abs_pow(a0, a1, y0, y1, r):
@@ -74,13 +84,38 @@ def _segment_abs_pow(a0, a1, y0, y1, r):
     da = a1 - a0
     if da <= 0.0:
         return 0.0
-    if y1 == y0:
-        return abs(y0) ** r * da
     if (y0 >= 0.0) == (y1 >= 0.0) or y0 == 0.0 or y1 == 0.0:
         return _same_sign_abs_pow(y0, y1, r) * da
     # strict sign change: split where the segment crosses zero
     t = y0 / (y0 - y1)
     return da * (t * _same_sign_abs_pow(y0, 0.0, r) + (1.0 - t) * _same_sign_abs_pow(0.0, y1, r))
+
+
+def _segment_means(y0, y1, r):
+    """``_segment_abs_pow(0, 1, y0, y1, r)`` elementwise over arrays.
+
+    The same closed forms, each evaluated everywhere and then selected; the
+    caller silences numpy's floating-point warnings for the entries not
+    selected and checks the result for overflow.  A zero endpoint counts as
+    a crossing, whose split then gives the p = 0 form.
+    """
+    ay0, ay1 = np.abs(y0), np.abs(y1)
+    pow0, pow1 = ay0**r, ay1**r
+    p, q = np.minimum(ay0, ay1), np.maximum(ay0, ay1)
+    gap = q - p
+    r1 = r + 1.0
+    t = p / q
+    ratio = np.where(
+        q > 2.0 * p,
+        (1.0 - t**r1) / (r1 * (1.0 - t)),
+        np.expm1(np.log1p(gap / p) * -r1) / ((gap / q) * -r1),
+    )
+    out = np.maximum(pow0, pow1) * np.where(gap > 0.0, ratio, 1.0)
+    cross = (y0 < 0.0) != (y1 < 0.0)
+    if np.any(cross):
+        t = y0 / (y0 - y1)
+        out = np.where(cross, (t * pow0 + (1.0 - t) * pow1) / r1, out)
+    return out
 
 
 def _abs_pow_integral(alphas, weights, rows, r, exact):
@@ -91,7 +126,7 @@ def _abs_pow_integral(alphas, weights, rows, r, exact):
     rule applies.
     """
     if not exact:
-        return np.trapezoid(weights @ (np.abs(rows) ** r), alphas)
+        return _abs_pow_integrals(alphas, weights, rows, r, exact)
     alphas = alphas.tolist()
     total = 0.0
     for w, ys in zip(weights.tolist(), rows.tolist()):
@@ -100,6 +135,45 @@ def _abs_pow_integral(alphas, weights, rows, r, exact):
             row_total += _segment_abs_pow(alphas[k], alphas[k + 1], ys[k], ys[k + 1], r)
         total += w * row_total
     return total
+
+
+def _abs_pow_integrals(alphas, weights, rows, r, exact):
+    """``_abs_pow_integral`` for a stack of row matrices, shape (m, rows, K).
+
+    ``alphas`` is (m, K), one grid per matrix.  The exact rule runs on numpy
+    arrays through ``_segment_means``.  The trapezoidal rule also takes a
+    single (rows, K) matrix with its (K,) alphas.
+    """
+    with np.errstate(all="ignore"):
+        if not exact:
+            return np.trapezoid(weights @ (np.abs(rows) ** r), alphas)
+        means = _segment_means(rows[..., :-1], rows[..., 1:], r)
+        return (means * np.diff(alphas)[..., None, :]).sum(axis=-1) @ weights
+
+
+def _root(total, r):
+    """The r-th root of an r-th power integral; OutOfRange when it overflowed."""
+    if not math.isfinite(total):
+        raise _overflow(r)
+    return float(total ** (1.0 / r))
+
+
+def _metric_rows(diff, directions, theta):
+    """Direction weights and rows whose |.|^r integrals sum to the metric's r-th power.
+
+    ``diff`` holds support differences with directions on axis -2.  theta
+    None gives rho_r: the rows are the differences.  Otherwise d_{r,theta}:
+    |mid| and spr take equal values at u and -u, so the first half of the
+    directions, at twice their weight, carries each whole norm.
+    """
+    if theta is None:
+        return directions.weights, diff
+    half = directions.size // 2
+    weights = 2.0 * directions.weights[:half]
+    head, tail = diff[..., :half, :], diff[..., half:, :]
+    rows = np.concatenate([head - tail, head + tail], axis=-2)
+    rows *= 0.5
+    return np.concatenate([weights, theta * weights]), rows
 
 
 def _refine_for_max(alphas, f, g):
@@ -160,7 +234,8 @@ def metric_d_r(a, b, r):
         return float(np.max(np.abs(diff)))
     if a.dim == 2:
         per_alpha = np.max(np.abs(diff), axis=0)
-        return float(np.trapezoid(per_alpha**r, alphas) ** (1.0 / r))
+        with np.errstate(over="ignore"):
+            return _root(np.trapezoid(per_alpha**r, alphas), r)
     g, f = diff  # the s(+1) and s(-1) rows
     refined = _refine_for_max(alphas, f, g)
     f = np.interp(refined, alphas, f).tolist()
@@ -174,7 +249,7 @@ def metric_d_r(a, b, r):
         mid_g = abs(0.5 * (g[k] + g[k + 1]))
         y0, y1 = (f[k], f[k + 1]) if mid_f >= mid_g else (g[k], g[k + 1])
         total += _segment_abs_pow(refined[k], refined[k + 1], y0, y1, r)
-    return total ** (1.0 / r)
+    return _root(total, r)
 
 
 def metric_rho_r(a, b, r):
@@ -185,8 +260,8 @@ def metric_rho_r(a, b, r):
     """
     r = _check_r(r, allow_inf=False)
     alphas, directions, diff = _support_difference(a, b)
-    total = _abs_pow_integral(alphas, directions.weights, diff, r, directions.dim == 1)
-    return float(total ** (1.0 / r))
+    weights, rows = _metric_rows(diff, directions, None)
+    return _root(_abs_pow_integral(alphas, weights, rows, r, directions.dim == 1), r)
 
 
 def metric_d_r_theta(a, b, r, theta):
@@ -199,16 +274,39 @@ def metric_d_r_theta(a, b, r, theta):
     r = _check_r(r, allow_inf=False)
     theta = _check_theta(theta)
     alphas, directions, diff = _support_difference(a, b)
-    # |mid| and spr take equal values at u and -u, so the first half of the
-    # directions, at twice their weight, carries each whole norm.
-    half = directions.size // 2
-    weights = 2.0 * directions.weights[:half]
-    head, tail = diff[:half], diff[half:]
-    rows = np.concatenate([head - tail, head + tail])
-    rows *= 0.5
-    weights = np.concatenate([weights, theta * weights])
-    total = _abs_pow_integral(alphas, weights, rows, r, directions.dim == 1)
-    return float(total ** (1.0 / r))
+    weights, rows = _metric_rows(diff, directions, theta)
+    return _root(_abs_pow_integral(alphas, weights, rows, r, directions.dim == 1), r)
+
+
+def metric_powers(metric, a, block):
+    """r-th powers of a rho_r or d_{r,theta} metric from a to a block of sets.
+
+    ``block`` is an ``empirical.SupportBlock``: sets stacked on the direction
+    grid of a, each with its own alphas.  On the line a meets each set on the
+    union of their breakpoints; planar sets must share a's grids.  Sets are
+    taken in chunks of about _CHUNK_ELEMENTS temporaries.  Agrees with the
+    pairwise metric raised to the power r up to rounding.
+    """
+    if metric.family == "d_r":
+        raise OutOfRange("metric depths use the rho_r or d_r_theta family")
+    r = float(metric.r)
+    exact = a.dim == 1
+    if exact:
+        alphas, stack = block.with_breakpoints(missing_alphas(a.alphas, block.shared))
+        lo, hi = a.endpoints(alphas)
+        s_a = np.stack([hi, -lo], axis=1)
+    else:
+        alphas, stack = np.broadcast_to(block.shared, block.alphas.shape), block.values
+        s_a = np.broadcast_to(a.support_values(block.shared), stack.shape)
+    step = max(1, _CHUNK_ELEMENTS // stack[0].size)
+    powers = np.empty(len(stack))
+    for start in range(0, len(stack), step):
+        chunk = slice(start, start + step)
+        weights, rows = _metric_rows(s_a[chunk] - stack[chunk], a.directions, metric.theta)
+        powers[chunk] = _abs_pow_integrals(alphas[chunk], weights, rows, r, exact)
+    if not np.all(np.isfinite(powers)):
+        raise _overflow(r)
+    return powers
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,16 @@ class TestCliDepth:
         assert main(["depth", "--input", trees_path, "--method", "natural", "--r", "0.5"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["natural", "natural-raised"])
+    def test_overflowing_r_is_a_data_error(self, tmp_path, capsys, method):
+        path = tmp_path / "three.csv"
+        path.write_text(
+            "id,a,b,c,d,frequency\nT1,0,1,2,3,1\nT2,1,2,3,5,2\nT3,4,5,6,9,1\n", encoding="utf-8"
+        )
+        assert main(["depth", "--input", str(path), "--method", method, "--r", "1e6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+
 
 class TestCliPlot:
     def test_writes_svg(self, trees_path, tmp_path, capsys):

@@ -172,6 +172,15 @@ class TestEmpiricalFRV:
             with pytest.raises(OutOfRange):
                 make_frv(atoms, weights=[1.0, bad])
 
+    def test_weights_are_a_private_read_only_copy(self):
+        # the sample caches its fit, so its weights must not change under it
+        weights = np.array([0.25, 0.75])
+        x = EmpiricalFRV([crisp_interval(0.0, 1.0), crisp_interval(2.0, 3.0)], weights)
+        weights[0] = 0.5  # the caller's array stays writeable
+        assert x.weights.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            x.weights[0] = 0.5
+
     def test_mixed_dimensions_rejected(self):
         grid = DirectionGrid.circle(8)
         g = grid_crisp_point([0.0, 0.0], grid, uniform_alphas(2))

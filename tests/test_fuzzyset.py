@@ -105,6 +105,16 @@ class TestTrapezoid:
         with pytest.raises(OrderViolation):
             LevelFuzzySet([0.0, 0.5, 1.0], [0.0, -1.0, 0.0], [2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_endpoints_rejected(self, bad):
+        # every order check compares false with NaN, so it needs its own test
+        with pytest.raises(OutOfRange):
+            LevelFuzzySet([0.0, 1.0], [bad, 0.0], [1.0, 1.0])
+        with pytest.raises(OutOfRange):
+            LevelFuzzySet([0.0, 1.0], [0.0, 0.0], [1.0, bad])
+        with pytest.raises(OutOfRange):
+            LevelFuzzySet([0.0, bad, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+
 
 class TestLineArithmetic:
     def test_minkowski_sum_levelwise(self):
@@ -306,6 +316,21 @@ class TestGridFuzzySet:
         for i, u in enumerate(self.grid.vectors):
             for j, alpha in enumerate(alphas):
                 assert rows[i, j] == z.support(u, alpha)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.ones((16, 9))
+        values[3, 4] = bad
+        with pytest.raises(OutOfRange):
+            GridFuzzySet(self.grid, self.alphas, values)
+        with pytest.raises(OutOfRange):
+            grid_from_support(lambda u, al: bad if al > 0.5 else 1.0, self.grid, self.alphas)
+        with pytest.raises(OutOfRange):
+            grid_zonotope([bad, 0.0], [[1.0, 0.0]], self.grid, self.alphas)
+        with pytest.raises(OutOfRange):
+            grid_zonotope([0.0, 0.0], [[1.0, bad]], self.grid, self.alphas)
+        with pytest.raises(OutOfRange):
+            grid_zonotope([0.0, 0.0], [[1e308, 0.0], [1e308, 0.0]], self.grid, self.alphas)
 
     def test_alpha_monotonicity_enforced(self):
         values = np.ones((16, 9))

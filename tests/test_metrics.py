@@ -275,16 +275,25 @@ class TestQuadratureOracle:
             got = metric_rho_r(base, wobble, r)
             assert got == pytest.approx(0.25, rel=1e-12)
 
-    @pytest.mark.parametrize("tiny", [5e-324, 2.2e-309, 1e-300, 1e-200, 1e-150])
+    @pytest.mark.parametrize("tiny", [5e-324, 2.2e-309, 1e-300, 1e-200, 1e-150, 1e-70])
     def test_steep_segments_stay_finite(self, tiny):
-        # a segment running from 1 down to a tiny value: the ratio of its ends
-        # overflows the closed form's exponential, the limit is the p = 0 one
-        origin, steep = crisp_point(0.0), make_trapezoid(0.0, tiny, tiny, 1.0)
-        assert metric_rho_r(origin, steep, 1.0) == pytest.approx(0.25, rel=1e-12)
-        assert metric_d_r(origin, steep, 1.0) == pytest.approx(0.5, rel=1e-12)
-        assert metric_d_r_theta(origin, steep, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-        want = (0.5 / 4.5) ** (1.0 / 3.5)  # 0.5 * integral of (1 - alpha)^3.5
-        assert metric_rho_r(origin, steep, 3.5) == pytest.approx(want, rel=1e-12)
+        # a segment running from `scale` down to tiny * scale: the ratio of its
+        # ends is past any closed form's exponential, and at scale 1e-40 the
+        # r-th power of the small end underflows; the value is the p = 0 limit
+        origin = crisp_point(0.0)
+        for scale in (1.0, 1e-40):
+            steep = make_trapezoid(0.0, tiny * scale, tiny * scale, scale)
+            assert metric_rho_r(origin, steep, 1.0) == pytest.approx(0.25 * scale, rel=1e-15, abs=0.0)
+            assert metric_d_r(origin, steep, 1.0) == pytest.approx(0.5 * scale, rel=1e-15, abs=0.0)
+            assert metric_d_r_theta(origin, steep, 1.0, 1.0) == pytest.approx(0.5 * scale, rel=1e-15, abs=0.0)
+            # 0.5 * integral of (scale * (1 - alpha))^r, and twice that for
+            # d_r; the root is taken as the library takes it, since a rounded
+            # 1/r alone moves a root of 1e-120 by 5e-15
+            for r in (3.0, 3.5):
+                want = (0.5 / (r + 1.0) * scale**r) ** (1.0 / r)
+                assert metric_rho_r(origin, steep, r) == pytest.approx(want, rel=1e-15, abs=0.0)
+                want = (1.0 / (r + 1.0) * scale**r) ** (1.0 / r)
+                assert metric_d_r(origin, steep, r) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestMetricAxioms:
