@@ -18,15 +18,18 @@ from pathlib import Path
 from .dataset import parse_dataset, records_frv
 from .depths import DEPTH_METHODS, DepthConfig, depth_table
 from .exceptions import FuzzyDepthError
-from .fuzzyset import DEFAULT_N_ALPHA
+from .fuzzyset import DEFAULT_N_ALPHA, MAX_N_ALPHA, check_n_alpha
 from .report import emit_report, emit_svg, format_table
-from .verification import format_rows, run_suite
+from .verification import emit_rows_json, format_rows, run_suite
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _alpha_grid(text):
+    try:
+        return check_n_alpha(int(text))
+    except (ValueError, FuzzyDepthError):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_N_ALPHA}, got {text!r}"
+        ) from None
 
 
 def build_parser():
@@ -48,10 +51,13 @@ def build_parser():
     common.add_argument("--theta", type=float, default=None, help="spread weight (location methods)")
     common.add_argument(
         "--alpha-grid",
-        type=_positive_int,
+        type=_alpha_grid,
         default=DEFAULT_N_ALPHA,
         metavar="N",
-        help=f"alpha grid size for the projection supremum (default {DEFAULT_N_ALPHA})",
+        help=(
+            "alpha grid size for the projection supremum, at most "
+            f"{MAX_N_ALPHA} (default {DEFAULT_N_ALPHA})"
+        ),
     )
 
     p_depth = sub.add_parser("depth", parents=[common], help="rank a dataset by depth")
@@ -73,6 +79,12 @@ def build_parser():
         help="restrict to one axiom group",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the randomized cases")
+    p_verify.add_argument(
+        "--format",
+        choices=["json"],
+        default=None,
+        help="one JSON document with every verdict and its witness (default: text lines)",
+    )
     return parser
 
 
@@ -102,11 +114,13 @@ def cmd_plot(args):
 
 def cmd_verify(args):
     rows, ok = run_suite(suite=args.suite, seed=args.seed)
-    for line in format_rows(rows):
-        sys.stdout.write(line + "\n")
-    total = len(rows)
-    matched = sum(1 for _, _, m in rows if m)
-    sys.stdout.write(f"{matched}/{total} verdicts as expected\n")
+    if args.format == "json":
+        sys.stdout.write(emit_rows_json(rows))
+    else:
+        for line in format_rows(rows):
+            sys.stdout.write(line + "\n")
+        matched = sum(1 for _, _, m in rows if m)
+        sys.stdout.write(f"{matched}/{len(rows)} verdicts as expected\n")
     return 0 if ok else 1
 
 

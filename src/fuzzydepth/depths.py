@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import DimensionMismatch, GridMismatch, OutOfRange
-from .fuzzyset import DEFAULT_N_ALPHA, missing_alphas
+from .fuzzyset import DEFAULT_N_ALPHA, check_n_alpha, missing_alphas
 from .metrics import MetricSpec, metric_powers
 
 # Depth method -> (metric family, distance raised to the power r); the
@@ -152,8 +151,7 @@ class DepthConfig:
     def __post_init__(self):
         if self.method not in _METHOD_METRICS:
             raise OutOfRange(f"unknown depth method {self.method!r}")
-        if self.n_alpha < 1:
-            raise OutOfRange("n_alpha must be at least 1")
+        check_n_alpha(self.n_alpha)
         if self.method != "projection":
             self.depth_function()  # the MetricSpec it binds checks r and theta
         elif not float(self.r) >= 1.0:
@@ -194,6 +192,18 @@ class DepthReport:
         }
 
 
+def rankdata(values):
+    """Ascending ranks 1..n of ``values``; tied values share their mean rank."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def depth_table(x, queries=None, config=None, ids=None):
     """Evaluate one depth method over a list of queries and rank the results.
 
@@ -213,7 +223,7 @@ def depth_table(x, queries=None, config=None, ids=None):
         raise DimensionMismatch("one id per query is required")
     depth_fn = config.depth_function()
     depths = [depth_fn(a, x) for a in queries]
-    ranks = rankdata([-d for d in depths], method="average")
+    ranks = rankdata([-d for d in depths])
     return DepthReport(
         ids=tuple(ids),
         depths=tuple(depths),

@@ -15,6 +15,7 @@ product by a scalar, convex combination and non-singular matrix transforms.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .exceptions import (
 )
 
 DEFAULT_N_ALPHA = 100
+# Upper bound on n_alpha: at 200 atoms a 1-D median/MAD profile then holds
+# about 4e6 floats.
+MAX_N_ALPHA = 10_000
 DEFAULT_N_DIR = 360
 
 _UNIT_NORM_TOL = 1e-9
@@ -34,11 +38,20 @@ _ANGLE_SNAP_TOL = 1e-9
 _SINGULAR_TOL = 1e-12
 
 
+def check_n_alpha(n_alpha):
+    """Return ``n_alpha`` as an int; OutOfRange unless it is an integer in [1, MAX_N_ALPHA]."""
+    try:
+        n = operator.index(n_alpha)
+    except TypeError:
+        raise OutOfRange(f"n_alpha must be an integer, got {n_alpha!r}") from None
+    if not 1 <= n <= MAX_N_ALPHA:
+        raise OutOfRange(f"n_alpha must be between 1 and {MAX_N_ALPHA}, got {n}")
+    return n
+
+
 def uniform_alphas(n_alpha=DEFAULT_N_ALPHA):
     """Uniform grid of ``n_alpha + 1`` membership thresholds spanning [0, 1]."""
-    if n_alpha < 1:
-        raise ValueError("n_alpha must be at least 1")
-    return np.linspace(0.0, 1.0, n_alpha + 1)
+    return np.linspace(0.0, 1.0, check_n_alpha(n_alpha) + 1)
 
 
 def merge_alphas(*alpha_arrays):

@@ -12,6 +12,7 @@ either a found counterexample or an inconclusive search.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,3 +361,29 @@ def format_rows(rows):
             f"[{mark}] {case.name}: {verdict.status} (expected {case.expected})"
         )
     return lines
+
+
+def emit_rows_json(rows):
+    """One JSON document: a list with one object per case, keys sorted.
+
+    Each object holds the case's name, suite, expected verdict and whether
+    it matched, next to the fields of ``AxiomVerdict.to_dict()``; numpy
+    scalars and arrays in a witness become plain Python values.
+    """
+    cases = [
+        {
+            "name": case.name,
+            "suite": case.suite,
+            "expected": case.expected,
+            "matched": matched,
+            **verdict.to_dict(),
+        }
+        for case, verdict, matched in rows
+    ]
+    return json.dumps(cases, indent=2, sort_keys=True, default=_plain) + "\n"
+
+
+def _plain(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -1,15 +1,25 @@
 """Dataset parsing, report rendering and the command-line interface."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fuzzydepth.verification
 from fuzzydepth import (
+    MAX_N_ALPHA,
+    AxiomVerdict,
     DepthConfig,
     OrderViolation,
     OutOfRange,
     ParseError,
+    VerifyCase,
     depth_table,
     emit_dataset,
     emit_report,
@@ -20,6 +30,7 @@ from fuzzydepth import (
     trees_like_records,
 )
 from fuzzydepth.cli import main
+from fuzzydepth.verification import emit_rows_json, run_suite
 
 TREES_CSV = emit_dataset(trees_like_records())
 
@@ -241,12 +252,17 @@ class TestCliDepth:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("size", ["0", "-3", "ten"])
+    @pytest.mark.parametrize("size", ["0", "-3", "ten", "10001", "100000000"])
     def test_bad_alpha_grid_is_a_usage_error(self, trees_path, capsys, size):
         with pytest.raises(SystemExit) as exc:
             main(["depth", "--input", trees_path, "--method", "projection", "--alpha-grid", size])
         assert exc.value.code == 2
         assert "--alpha-grid" in capsys.readouterr().err
+
+    def test_alpha_grid_at_its_bound_runs(self, trees_path, capsys):
+        args = ["depth", "--input", trees_path, "--method", "projection", "--format", "csv"]
+        assert main(args + ["--alpha-grid", str(MAX_N_ALPHA)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
 
     def test_bad_r_is_a_data_error(self, trees_path, capsys):
         assert main(["depth", "--input", trees_path, "--method", "natural", "--r", "0.5"]) == 1
@@ -287,3 +303,74 @@ class TestCliVerify:
         out = capsys.readouterr().out.splitlines()
         assert all(line.startswith("[ok]") for line in out[:-1])
         assert out[-1].endswith("verdicts as expected")
+
+    def test_json_holds_every_case_with_its_witness(self, capsys):
+        assert main(["verify", "--format", "json", "--seed", "2"]) == 0
+        cases = json.loads(capsys.readouterr().out)
+        rows, _ = run_suite(seed=2)
+        assert [c["name"] for c in cases] == [case.name for case, _, _ in rows]
+        for c, (case, verdict, _) in zip(cases, rows):
+            assert set(c) == {"name", "suite", "expected", "matched"} | set(verdict.to_dict())
+            assert c["matched"] is True
+            assert (c["suite"], c["expected"]) == (case.suite, case.expected)
+            assert c["status"] == verdict.status
+        assert any(c["status"] == "fail" and c["witness"] for c in cases)
+
+    def test_json_is_byte_deterministic(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", "--format", "json", "--seed", "4"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == json.dumps(json.loads(outputs[0]), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_unexpected_verdict_exits_one(self, monkeypatch, capsys, fmt):
+        build_cases = fuzzydepth.verification.build_cases
+
+        def flipped():
+            cases = build_cases()
+            flip = {"pass": "fail", "fail": "pass"}.get(cases[0].expected, "pass")
+            return [dataclasses.replace(cases[0], expected=flip)] + cases[1:]
+
+        monkeypatch.setattr(fuzzydepth.verification, "build_cases", flipped)
+        assert main(["verify", "--suite", "p1"] + fmt) == 1
+        out = capsys.readouterr().out
+        if fmt:
+            cases = json.loads(out)
+            assert [c["matched"] for c in cases] == [False] + [True] * (len(cases) - 1)
+        else:
+            assert out.startswith("[UNEXPECTED]")
+
+    def test_json_converts_numpy_values(self):
+        verdict = AxiomVerdict(
+            "P2",
+            "fail",
+            1e-9,
+            witness={
+                "probe": np.int64(3),
+                "depth": np.float64(0.25),
+                "flag": np.bool_(True),
+                "profile": np.array([[0.5, 1.0]]),
+            },
+        )
+        case = VerifyCase("demo", "p2", "fail", None)
+        (doc,) = json.loads(emit_rows_json([(case, verdict, True)]))
+        assert doc["witness"] == {"probe": 3, "depth": 0.25, "flag": True, "profile": [[0.5, 1.0]]}
+
+
+def test_cold_start_imports_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import fuzzydepth, fuzzydepth.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

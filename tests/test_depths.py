@@ -1,15 +1,19 @@
 """Depth functions: frozen values, crisp reduction oracle, report table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from fuzzydepth import (
     DepthConfig,
     DimensionMismatch,
     DirectionGrid,
     GridMismatch,
+    MAX_N_ALPHA,
     OutOfRange,
     crisp_interval,
     crisp_point,
@@ -27,7 +31,7 @@ from fuzzydepth import (
     scale,
     uniform_alphas,
 )
-from fuzzydepth.depths import DEPTH_METHODS
+from fuzzydepth.depths import DEPTH_METHODS, rankdata
 
 HALF_TOL = 1e-12
 
@@ -254,6 +258,36 @@ class TestDepthConfig:
         with pytest.raises(OutOfRange):
             DepthConfig(method="projection", n_alpha=0)
 
+    @pytest.mark.parametrize("method", ["projection", "natural"])
+    @pytest.mark.parametrize("n_alpha", [2.5, 3.0, "7", None])
+    def test_non_integer_n_alpha(self, method, n_alpha):
+        with pytest.raises(OutOfRange):
+            DepthConfig(method=method, n_alpha=n_alpha)
+
+    def test_n_alpha_bound(self):
+        assert DepthConfig(method="projection", n_alpha=MAX_N_ALPHA).n_alpha == MAX_N_ALPHA
+        assert DepthConfig(method="projection", n_alpha=np.int64(7)).n_alpha == 7
+
+    @pytest.mark.parametrize("n_alpha", [MAX_N_ALPHA + 1, 10**8])
+    def test_n_alpha_above_bound_is_rejected_before_allocation(self, n_alpha):
+        x = three_atoms()
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                DepthConfig(method="projection", n_alpha=n_alpha)
+            with pytest.raises(OutOfRange):
+                projection_depth(x.atoms[0], x, n_alpha=n_alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n_alpha", [0, -1, 2.5])
+    def test_projection_depth_rejects_bad_n_alpha(self, n_alpha):
+        x = three_atoms()
+        with pytest.raises(OutOfRange):
+            projection_depth(x.atoms[0], x, n_alpha=n_alpha)
+
 
 class TestDepthTable:
     def test_defaults_to_atoms(self):
@@ -268,6 +302,10 @@ class TestDepthTable:
         # the two outer atoms sit symmetrically: equal depth, averaged rank
         assert report.depths[0] == report.depths[2]
         assert report.ranks[0] == report.ranks[2] == 2.5
+
+    def test_no_queries_give_empty_ranks(self):
+        report = depth_table(three_atoms(), queries=[])
+        assert report.ids == report.depths == report.ranks == ()
 
     def test_custom_queries_and_ids(self):
         x = three_atoms()
@@ -310,6 +348,43 @@ class TestDepthTable:
             assert sorted(report.ranks) == sorted(
                 float(k) for k in np.argsort(np.argsort([-d for d in report.depths])) + 1.0
             ) or len(set(report.depths)) < len(report.depths)
+
+
+# A small pool so that drawn vectors tie often; -0.0 and 0.0 compare equal.
+_TIE_POOL = [-0.0, 0.0, -1.0, 0.25, 0.5, 1.0, 1e-300, -2.5e17]
+
+
+class TestRankdata:
+    """The numpy ranker against scipy.stats.rankdata(method="average")."""
+
+    @staticmethod
+    def assert_matches_scipy(values):
+        got = rankdata(values)
+        want = scipy.stats.rankdata(np.asarray(values, dtype=float), method="average")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_TIE_POOL), st.floats(allow_nan=False)),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_with_ties(self, values):
+        self.assert_matches_scipy(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.0], [-0.0], [-0.0, 0.0, -0.0], [3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [-0.5] * 200],
+    )
+    def test_edge_cases(self, values):
+        self.assert_matches_scipy(values)
+
+    def test_negated_depths_rank_descending(self):
+        depths = [0.0, 0.5, 0.0, 1.0, 0.5]
+        ranks = rankdata([-d for d in depths])
+        assert ranks.tolist() == [4.5, 2.5, 4.5, 1.0, 2.5]
 
 
 class TestPlanarDepths:

@@ -406,8 +406,9 @@ class TestPlanarInterpolation:
 def test_uniform_alphas_shape():
     g = uniform_alphas(4)
     assert list(g) == [0.0, 0.25, 0.5, 0.75, 1.0]
-    with pytest.raises(ValueError):
-        uniform_alphas(0)
+    for bad in (0, -2, 2.5, 4.0):
+        with pytest.raises(OutOfRange):
+            uniform_alphas(bad)
 
 
 def test_merge_alphas_union():
