@@ -9,20 +9,21 @@ those distances.  All five map into [0, 1], larger meaning more central.
 
 Every depth reads the sample through its cached fit (``EmpiricalFRV.fit``):
 the support matrices of the atoms and the median/MAD profiles are computed
-once per sample, and each query is then scored against all atoms at once.
+once per sample.  The queries are stacked the same way, and a whole stack is
+scored against all atoms at once; a single depth is a stack of one query.
 Atoms and weights of a sample are treated as immutable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .empirical import stack_supports
 from .exceptions import DimensionMismatch, GridMismatch, OutOfRange
-from .fuzzyset import DEFAULT_N_ALPHA, check_n_alpha, missing_alphas
-from .metrics import MetricSpec, metric_powers
+from .fuzzyset import DEFAULT_N_ALPHA, check_n_alpha
+from .metrics import MetricSpec, expected_metric
 
 # Depth method -> (metric family, distance raised to the power r); the
 # projection depth uses no metric.
@@ -68,32 +69,45 @@ def outlyingness(a, x, n_alpha=DEFAULT_N_ALPHA):
     are computed, not interpolated.
     """
     _require_compatible(a, x)
+    return float(_outlyingness(stack_supports([a]), 1, x, n_alpha)[0])
+
+
+def _outlyingness(blocks, n, x, n_alpha):
+    """The outlyingness of the n queries stacked in ``blocks``, as one array.
+
+    Queries that miss the same breakpoints of the profile grid share one
+    median/MAD pass for those extra columns.
+    """
     fit = x.fit()
     alphas, med, mad = fit.projection_profile(n_alpha)
-    out = _worst_ratio(a.support_values(alphas), med, mad)
-    if a.dim == 1:
-        extra = missing_alphas(a.alphas, alphas)
-        if extra.size:
-            out = max(out, _worst_ratio(a.support_values(extra), *fit.median_mad(extra)))
+    out = np.empty(n)
+    for block in blocks:
+        worst = _worst_ratios(block, alphas, med, mad)
+        for extra, rows in block.groups_off(alphas):
+            if extra.size:
+                off_grid = _worst_ratios(block.rows(rows), extra, *fit.median_mad(extra))
+                worst[rows] = np.maximum(worst[rows], off_grid)
+        out[block.index] = worst
     return out
 
 
-def _worst_ratio(s_a, med, mad):
-    """Largest |s_A - med| / MAD over all entries; 0/0 counts 0 and x/0 inf."""
-    num = np.abs(s_a.reshape(-1) - med)
-    degenerate = mad == 0.0
-    if np.any(degenerate & (num > 0.0)):
-        return math.inf
-    ratio = np.divide(num, mad, out=np.zeros_like(num), where=~degenerate)
-    return float(np.max(ratio))
+def _worst_ratios(block, alphas, med, mad):
+    """Largest |s_A - med| / MAD of each row of the block at ``alphas``.
+
+    0/0 counts 0 and x/0 inf.  Rows are taken in chunks.
+    """
+    out = np.empty(len(block.index))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in block.row_chunks(med.size):
+            ratio = np.abs(block.rows(rows).at(alphas).reshape(-1, med.size) - med) / mad
+            # 0/0 is NaN, which fmax skips, and x/0 is inf
+            out[rows] = np.fmax.reduce(ratio, axis=1, initial=0.0)
+    return out
 
 
 def projection_depth(a, x, n_alpha=DEFAULT_N_ALPHA):
     """Depth 1 / (1 + outlyingness); infinite outlyingness gives exactly 0."""
-    out = outlyingness(a, x, n_alpha=n_alpha)
-    if math.isinf(out):
-        return 0.0
-    return 1.0 / (1.0 + out)
+    return 1.0 / (1.0 + outlyingness(a, x, n_alpha=n_alpha))
 
 
 def metric_depth(a, x, metric, raised=False):
@@ -106,11 +120,27 @@ def metric_depth(a, x, metric, raised=False):
     overflow.
     """
     _require_compatible(a, x)
-    powers = np.empty(x.size)
-    for block in x.fit().blocks:
-        powers[block.index] = metric_powers(metric, a, block)
-    distances = powers if raised else powers ** (1.0 / float(metric.r))
-    return 1.0 / (1.0 + float(x.weights @ distances))
+    return float(_metric_depths(stack_supports([a]), 1, x, metric, raised)[0])
+
+
+def _metric_depths(blocks, n, x, metric, raised):
+    """``metric_depth`` of the n queries stacked in ``blocks``, as one array.
+
+    On the line, the queries that miss the same breakpoints of an atom
+    block's shared grid are one group, and the block gets those breakpoints
+    once per group.  Every trapezoid query is in the group with none.
+    """
+    fit = x.fit()
+    total = np.zeros(n)
+    for atoms in fit.blocks:
+        weights = fit.weights[atoms.index]
+        for block in blocks:
+            for extra, rows in block.groups_off(atoms.shared):
+                queries = block.rows(rows)
+                total[queries.index] += expected_metric(
+                    metric, fit.directions, queries, atoms.with_breakpoints(extra), weights, raised
+                )
+    return 1.0 / (1.0 + total)
 
 
 def natural_depth(a, x, r):
@@ -163,9 +193,13 @@ class DepthConfig:
         """Bind the configuration into a callable (A, X) -> depth."""
         if self.method == "projection":
             return lambda a, x: projection_depth(a, x, n_alpha=self.n_alpha)
-        family, raised = _METHOD_METRICS[self.method]
-        metric = MetricSpec(family, self.r, self.theta)
+        metric, raised = self._metric()
         return lambda a, x: metric_depth(a, x, metric, raised)
+
+    def _metric(self):
+        """(MetricSpec, raised) of a metric method."""
+        family, raised = _METHOD_METRICS[self.method]
+        return MetricSpec(family, self.r, self.theta), raised
 
 
 @dataclass(frozen=True)
@@ -207,27 +241,35 @@ def rankdata(values):
 def depth_table(x, queries=None, config=None, ids=None):
     """Evaluate one depth method over a list of queries and rank the results.
 
-    Queries default to the atoms of x.  Ranks are descending in depth and
-    tied values share their average rank.  The computation is deterministic:
-    identical inputs give identical tables.
+    Queries default to the atoms of x.  They are stacked like the sample and
+    scored at once; each depth equals the one-query function bitwise.  Ranks
+    are descending in depth and tied values share their average rank.  The
+    computation is deterministic: identical inputs give identical tables.
     """
     if config is None:
         config = DepthConfig(method="projection")
     if queries is None:
         queries = list(x.atoms)
-    queries = list(queries)
+        blocks = x.fit().blocks
+    else:
+        queries = list(queries)
+        for a in queries:
+            _require_compatible(a, x)
+        blocks = stack_supports(queries)
     if ids is None:
         ids = [f"A{k + 1}" for k in range(len(queries))]
     ids = [str(i) for i in ids]
     if len(ids) != len(queries):
         raise DimensionMismatch("one id per query is required")
-    depth_fn = config.depth_function()
-    depths = [depth_fn(a, x) for a in queries]
-    ranks = rankdata([-d for d in depths])
+    if config.method == "projection":
+        depths = 1.0 / (1.0 + _outlyingness(blocks, len(queries), x, config.n_alpha))
+    else:
+        depths = _metric_depths(blocks, len(queries), x, *config._metric())
+    ranks = rankdata(-depths)
     return DepthReport(
         ids=tuple(ids),
-        depths=tuple(depths),
-        ranks=tuple(float(k) for k in ranks),
+        depths=tuple(depths.tolist()),
+        ranks=tuple(ranks.tolist()),
         method=config.method,
         r=float(config.r),
         theta=None if config.theta is None else float(config.theta),

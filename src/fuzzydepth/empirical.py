@@ -31,11 +31,15 @@ from .exceptions import (
     OrderViolation,
     OutOfRange,
 )
-from .fuzzyset import GridFuzzySet, LevelFuzzySet, merge_alphas, uniform_alphas
+from .fuzzyset import LevelFuzzySet, _interp_columns, check_n_alpha, merge_alphas, uniform_alphas
 
 # Slack on the cumulative-weight comparisons so that weights like 1/3, whose
 # partial sums only reach 0.5 up to rounding, still split correctly.
 _HALF_TOL = 1e-12
+# Temporaries of a batched computation over stacked supports hold about this
+# many floats: a planar (360, 21) pair is then cut into 8-pair chunks, which
+# stay in cache.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,14 @@ def weighted_mad(values, weights=None):
 
 
 class SupportBlock:
-    """Atoms with the same number of breakpoints, their support matrices stacked.
+    """Fuzzy sets with the same number of breakpoints, their support matrices stacked.
 
-    Row i is atom ``index[i]``: ``alphas[i]`` are its own breakpoints and
+    Row i is set ``index[i]``: ``alphas[i]`` are its own breakpoints and
     ``values[i]`` its support matrix there, so the block has shape
-    (m, n_dir, K) and no atom is resampled.  ``shared`` holds the alphas that
-    every row has in the same column: all of them when the atoms share one
-    grid, as trapezoids and planar atoms do, and at least 0 and 1.
+    (m, n_dir, K) and no set is resampled.  ``shared`` holds the alphas that
+    every row has in the same column: all of them when the sets share one
+    grid, as trapezoids and planar sets do, and at least 0 and 1.  Both the
+    sample's atoms and a table's queries are stacked this way.
     """
 
     __slots__ = ("alphas", "index", "values", "shared")
@@ -134,57 +139,127 @@ class SupportBlock:
         self.alphas = alphas
         self.index = index
         self.values = values
-        self.shared = alphas[0][np.all(alphas == alphas[0], axis=0)]
+        self.shared = alphas[0]
+        if len(alphas) > 1:
+            self.shared = alphas[0][(alphas == alphas[0]).all(axis=0)]
+
+    def rows(self, rows):
+        """The block of the selected rows (a slice or an index array)."""
+        if isinstance(rows, slice) and rows == slice(0, len(self.index)):
+            return self
+        return SupportBlock(self.alphas[rows], self.index[rows], self.values[rows])
+
+    def row_chunks(self, row_size):
+        """Slices of consecutive rows holding about _CHUNK_ELEMENTS floats, ``row_size`` per row."""
+        n = len(self.index)
+        step = max(1, _CHUNK_ELEMENTS // row_size)
+        return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
     def at(self, alphas):
-        """Every atom's support matrix at the sorted ``alphas``, (m, n_dir, len(alphas)).
+        """Every row's support matrix at the sorted ``alphas``, (m, n_dir, len(alphas)).
 
         Planar blocks take only their own grid.  On the line the endpoints are
-        linear between each atom's breakpoints, so this is exact, and bitwise
+        linear between each row's breakpoints, so this is exact, and bitwise
         what ``support_values`` gives.
         """
-        if len(self.shared) == self.alphas.shape[1] and np.array_equal(alphas, self.shared):
+        k = self.alphas.shape[1]
+        if len(self.shared) < k:
+            return _interp_rows(alphas, self.alphas, self.values, *_merge_rows(self.alphas, alphas))
+        if len(alphas) == k and (alphas == self.shared).all():
             return self.values
-        return _interp_rows(alphas, self.alphas, self.values)
+        return _interp_columns(alphas, self.shared, self.values)
+
+    def groups_off(self, grid):
+        """Rows grouped by their breakpoints that are missing from the sorted ``grid``.
+
+        Returns (extra, rows) pairs: the sorted missing breakpoints and the
+        rows that miss exactly those.  Sets that share the grid, as every
+        trapezoid does, form one group with no extra breakpoint.
+        """
+        pos = np.minimum(grid.searchsorted(self.alphas), len(grid) - 1)
+        off = grid[pos] != self.alphas
+        if not off.any():
+            return [(grid[:0], slice(0, len(self.index)))]
+        missing = off.any(axis=1)
+        groups = {}
+        for i in np.flatnonzero(missing).tolist():
+            extra = self.alphas[i][off[i]]
+            groups.setdefault(extra.tobytes(), (extra, []))[1].append(i)
+        on_grid = [(grid[:0], np.flatnonzero(~missing))] if not missing.all() else []
+        return on_grid + [(extra, np.array(rows)) for extra, rows in groups.values()]
 
     def with_breakpoints(self, extra):
-        """Each atom's breakpoints merged with the sorted ``extra``, and its values there.
+        """Each row's breakpoints merged with the sorted ``extra``, as a new block.
 
-        Returns (alphas, values) of shapes (m, K + len(extra)) and
-        (m, n_dir, K + len(extra)); an extra alpha that is already a
+        Rows get K + len(extra) alphas; an extra alpha that is already a
         breakpoint of a row repeats it, a segment of length zero.
         """
         if not extra.size:
-            return self.alphas, self.values
+            return self
         m = len(self.alphas)
+        order, last = _merge_rows(self.alphas, extra)
         alphas = np.concatenate([self.alphas, np.broadcast_to(extra, (m, len(extra)))], axis=1)
-        values = np.concatenate([self.values, _interp_rows(extra, self.alphas, self.values)], axis=2)
-        order = np.argsort(alphas, axis=1, kind="stable")
-        return (
+        extra_values = _interp_rows(extra, self.alphas, self.values, order, last)
+        values = np.concatenate([self.values, extra_values], axis=2)
+        return SupportBlock(
             np.take_along_axis(alphas, order, axis=1),
+            self.index,
             np.take_along_axis(values, order[:, None, :], axis=2),
         )
 
 
-def _interp_rows(x, xp, fp):
-    """``np.interp(x, xp[i], fp[i, d])`` for every row i and every d at once.
+def stack_supports(sets):
+    """The support matrices of ``sets`` as SupportBlocks, one per number of breakpoints.
 
-    x is sorted and within every row's range; xp is (m, K) with sorted rows
-    and fp (m, n, K).  Like ``_interp_columns`` this is np.interp's formula
-    and returns the stored value exactly at a node, so it is bitwise a loop
-    of np.interp calls.
+    Each block row keeps its set's own breakpoints; ``index`` gives the
+    positions in ``sets``.
+    """
+    groups = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(len(s.alphas), []).append(i)
+    return tuple(
+        SupportBlock(
+            np.array([sets[i].alphas for i in index]),
+            np.array(index),
+            np.array([sets[i].support_values() for i in index]),
+        )
+        for index in groups.values()
+    )
+
+
+def _merge_rows(xp, x):
+    """Stable merge order of every sorted row of xp (m, K) with the sorted x.
+
+    Returns the (m, K + len(x)) order that sorts each row of
+    ``[xp[i], x]``, and for each x the index of the last row node at or
+    before it.
     """
     m, k = xp.shape
     nodes = np.concatenate([xp, np.broadcast_to(x, (m, len(x)))], axis=1)
-    is_node = np.argsort(nodes, axis=1, kind="stable") < k
+    order = np.argsort(nodes, axis=1, kind="stable")
+    is_node = order < k
     # after a stable sort, the last node at or before each x
-    j = (np.cumsum(is_node, axis=1) - 1)[~is_node].reshape(m, len(x))
-    j1 = np.minimum(j + 1, k - 1)
-    x0, x1 = np.take_along_axis(xp, j, axis=1), np.take_along_axis(xp, j1, axis=1)
+    last = (np.cumsum(is_node, axis=1) - 1)[~is_node].reshape(m, len(x))
+    return order, last
+
+
+def _interp_rows(x, xp, fp, order, last):
+    """``np.interp(x, xp[i], fp[i, d])`` for every row i and every d at once.
+
+    x is sorted and within every row's range; xp is (m, K) with sorted rows,
+    fp (m, n, K), and ``order, last`` come from ``_merge_rows(xp, x)``.
+    Like ``_interp_columns`` this is np.interp's formula and returns the
+    stored value exactly at a node, so it is bitwise a loop of np.interp
+    calls.
+    """
+    j = last
+    j1 = np.minimum(j + 1, xp.shape[1] - 1)
+    x0 = np.take_along_axis(xp, j, axis=1)[:, None, :]
+    x1 = np.take_along_axis(xp, j1, axis=1)[:, None, :]
     f0 = np.take_along_axis(fp, j[:, None, :], axis=2)
     f1 = np.take_along_axis(fp, j1[:, None, :], axis=2)
-    slope = (f1 - f0) / np.where(x1 > x0, x1 - x0, 1.0)[:, None, :]
-    return np.where((x == x0)[:, None, :], f0, slope * (x - x0)[:, None, :] + f0)
+    slope = (f1 - f0) / np.where(x1 > x0, x1 - x0, 1.0)
+    return np.where(x == x0, f0, slope * (x - x0) + f0)
 
 
 class SampleFit:
@@ -194,26 +269,17 @@ class SampleFit:
     its own breakpoints (all trapezoids share [0, 1], planar atoms share
     their grid).  No atom is put on the union of all breakpoints, which grows
     with the sample.  Median/MAD profiles are computed on demand and cached
-    per alpha grid size.
+    per alpha grid.
     """
 
-    __slots__ = ("dim", "size", "weights", "blocks", "_profiles")
+    __slots__ = ("dim", "directions", "size", "weights", "blocks", "_profiles")
 
     def __init__(self, atoms, weights):
-        groups = {}
-        for i, atom in enumerate(atoms):
-            groups.setdefault(len(atom.alphas), []).append(i)
         self.dim = atoms[0].dim
+        self.directions = atoms[0].directions
         self.size = len(atoms)
         self.weights = weights
-        self.blocks = tuple(
-            SupportBlock(
-                np.stack([atoms[i].alphas for i in index]),
-                np.array(index),
-                np.stack([atoms[i].support_values(atoms[i].alphas) for i in index]),
-            )
-            for index in groups.values()
-        )
+        self.blocks = stack_supports(atoms)
         self._profiles = {}
 
     def support_columns(self, alphas):
@@ -232,17 +298,20 @@ class SampleFit:
         return med, _mad_columns(values, self.weights, med)
 
     def projection_profile(self, n_alpha):
-        """(alphas, median, MAD) of the projection depth, cached per ``n_alpha``.
+        """(alphas, median, MAD) of the projection depth, cached per alpha grid.
 
         On the line the alphas are the uniform grid of ``n_alpha`` steps plus
-        every breakpoint of the atoms; planar atoms use their stored grid.
+        every breakpoint of the atoms; planar atoms use their stored grid,
+        whatever the valid ``n_alpha``.
         """
-        if n_alpha not in self._profiles:
+        n_alpha = check_n_alpha(n_alpha)
+        key = n_alpha if self.dim == 1 else None
+        if key not in self._profiles:
             alphas = self.blocks[0].shared
             if self.dim == 1:
                 alphas = merge_alphas(uniform_alphas(n_alpha), *(b.alphas.ravel() for b in self.blocks))
-            self._profiles[n_alpha] = (alphas, *self.median_mad(alphas))
-        return self._profiles[n_alpha]
+            self._profiles[key] = (alphas, *self.median_mad(alphas))
+        return self._profiles[key]
 
 
 class EmpiricalFRV:

@@ -62,12 +62,6 @@ def merge_alphas(*alpha_arrays):
     return np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
 
 
-def missing_alphas(alphas, grid):
-    """The entries of ``alphas`` that are not in the sorted ``grid``."""
-    pos = np.minimum(np.searchsorted(grid, alphas), len(grid) - 1)
-    return alphas[grid[pos] != alphas]
-
-
 def _check_alpha(alpha):
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -199,8 +193,14 @@ class LevelFuzzySet:
         lo, hi = self.level(alpha)
         return hi if sign > 0 else -lo
 
-    def support_values(self, alphas):
-        """Support matrix at the given alphas: row 0 is s(+1) = hi, row 1 s(-1) = -lo."""
+    def support_values(self, alphas=None):
+        """Support matrix at the given alphas: row 0 is s(+1) = hi, row 1 s(-1) = -lo.
+
+        Without alphas, at the set's own breakpoints, where no interpolation
+        is needed.
+        """
+        if alphas is None:
+            return np.array([self.hi, -self.lo])
         lo, hi = self.endpoints(alphas)
         return np.array([hi, -lo])
 
@@ -343,8 +343,13 @@ class GridFuzzySet:
         y = (cos_i * s_k - cos_k * s) / det
         return np.column_stack([x, y])
 
-    def support_values(self, alphas):
-        """Support matrix at the given alphas, each snapped like ``support``."""
+    def support_values(self, alphas=None):
+        """Support matrix at the given alphas, each snapped like ``support``.
+
+        Without alphas, a copy of ``values``: the set's own grid.
+        """
+        if alphas is None:
+            return self.values.copy()
         alphas = np.asarray(alphas, dtype=float)
         return self.values[:, np.argmin(np.abs(self.alphas - alphas[:, None]), axis=1)]
 
@@ -399,16 +404,18 @@ def _interp_periodic(values, pos):
 
 
 def _interp_columns(x, xp, fp):
-    """``np.interp(x, xp, row)`` for every row of ``fp`` at once.
+    """``np.interp(x, xp, row)`` for every row of ``fp`` (..., len(xp)) at once.
 
     np.interp takes one row per call.  This uses its formula and, like it,
     returns the stored value exactly at a node, so for x inside
     [xp[0], xp[-1]] the result is bitwise that of a loop over rows.
     """
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
-    slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
-    out = np.where(x == xp[j], fp[:, j], slope * (x - xp[j]) + fp[:, j])
-    return np.where(x == xp[-1], fp[:, -1:], out)
+    # the last node at or before each x, and the segment that starts there
+    j = xp.searchsorted(x, side="right") - 1
+    slopes = (fp[..., 1:] - fp[..., :-1]) / (xp[1:] - xp[:-1])
+    slope = slopes.take(np.minimum(j, len(xp) - 2), axis=-1)
+    x0, f0 = xp.take(j), fp.take(j, axis=-1)
+    return np.where(x == x0, f0, slope * (x - x0) + f0)
 
 
 def grid_from_support(fn, directions, alphas):

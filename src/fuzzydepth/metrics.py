@@ -15,9 +15,11 @@ their grids with the composite trapezoidal rule over alpha and the uniform
 weights over directions.  An r-th power past the float range raises
 OutOfRange.
 
-``metric_powers`` gives the r-th powers of rho_r or d_{r,theta} from one set
-to a whole stack of support matrices at once, with the same rules; the depths
-use it, and the pairwise functions are its reference.
+``metric_powers`` gives the r-th powers of rho_r or d_{r,theta} between every
+set of one stack of support matrices and every set of another at once, with
+the same rules, and ``expected_metric`` sums them over a weighted sample in
+chunks; the depths use them, and the pairwise functions are their reference.
+On that batched path r = 1 and r = 2 take closed-form segment means.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, OutOfRange
-from .fuzzyset import merge_alphas, missing_alphas
+from .fuzzyset import merge_alphas
 
 _METRIC_FAMILIES = ("d_r", "rho_r", "d_r_theta")
-# Temporaries of a batched metric hold about this many floats: a planar
-# (360, 21) stack is then cut into 8-set chunks, which stay in cache.
-_CHUNK_ELEMENTS = 1 << 16
+# Smallest positive normal float.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_r(r, allow_inf):
@@ -94,10 +95,46 @@ def _segment_abs_pow(a0, a1, y0, y1, r):
 def _segment_means(y0, y1, r):
     """``_segment_abs_pow(0, 1, y0, y1, r)`` elementwise over arrays.
 
-    The same closed forms, each evaluated everywhere and then selected; the
-    caller silences numpy's floating-point warnings for the entries not
-    selected and checks the result for overflow.  A zero endpoint counts as
-    a crossing, whose split then gives the p = 0 form.
+    r = 2 takes the polynomial mean (y0^2 + y0 y1 + y1^2) / 3, which needs no
+    split at a crossing.  r = 1 takes (|y0| + |y1|) / 2 on one sign and, at a
+    strict crossing, 0.5 (t |y0| + (1 - t) |y1|) with t = |y0| / (|y0| + |y1|),
+    which is the generic rule's split, term by term.  (The shorter crossing
+    form (y0^2 + y1^2) / (2 (|y0| + |y1|)) would overflow and underflow near
+    1e+-154.)  An entry of a nonzero segment that the closed forms leave
+    outside the normal float range, where their products overflow before the
+    mean does or have lost precision, takes the generic rule, as does every
+    other r; so overflow and underflow are those of the generic rule.  The
+    caller silences numpy's floating-point warnings.
+    """
+    if r == 2.0:
+        out = y0 * y0
+        out += y0 * y1
+        out += y1 * y1
+        out /= 3.0
+    elif r == 1.0:
+        ay0, ay1 = np.abs(y0), np.abs(y1)
+        total = ay0 + ay1
+        out = 0.5 * total
+        cross = (y0 < 0.0) != (y1 < 0.0)
+        if cross.any():
+            t = ay0 / total
+            out = np.where(cross, 0.5 * (t * ay0 + (1.0 - t) * ay1), out)
+    else:
+        return _generic_segment_means(y0, y1, r)
+    redo = ~((out >= _TINY) & (out < math.inf))
+    if redo.any():
+        redo &= (y0 != 0.0) | (y1 != 0.0)
+        if redo.any():
+            out[redo] = _generic_segment_means(y0[redo], y1[redo], r)
+    return out
+
+
+def _generic_segment_means(y0, y1, r):
+    """The segment means of ``_segment_means`` by the closed forms of any r.
+
+    Those of ``_same_sign_abs_pow`` and the zero-crossing split, each
+    evaluated everywhere and then selected.  A zero endpoint counts as a
+    crossing, whose split then gives the p = 0 form.
     """
     ay0, ay1 = np.abs(y0), np.abs(y1)
     pow0, pow1 = ay0**r, ay1**r
@@ -126,7 +163,8 @@ def _abs_pow_integral(alphas, weights, rows, r, exact):
     rule applies.
     """
     if not exact:
-        return _abs_pow_integrals(alphas, weights, rows, r, exact)
+        with np.errstate(all="ignore"):
+            return _abs_pow_integrals(alphas, weights, rows, r, exact)
     alphas = alphas.tolist()
     total = 0.0
     for w, ys in zip(weights.tolist(), rows.tolist()):
@@ -138,17 +176,22 @@ def _abs_pow_integral(alphas, weights, rows, r, exact):
 
 
 def _abs_pow_integrals(alphas, weights, rows, r, exact):
-    """``_abs_pow_integral`` for a stack of row matrices, shape (m, rows, K).
+    """``_abs_pow_integral`` for a stack of row matrices, shape (..., m, rows, K).
 
     ``alphas`` is (m, K), one grid per matrix.  The exact rule runs on numpy
-    arrays through ``_segment_means``.  The trapezoidal rule also takes a
-    single (rows, K) matrix with its (K,) alphas.
+    arrays through ``_segment_means`` and sums the weighted segment terms of
+    each matrix along one contiguous axis, so a matrix's result does not
+    depend on the stack it is in.  The trapezoidal rule also takes a single
+    (rows, K) matrix with its (K,) alphas.  The caller silences numpy's
+    floating-point warnings and checks the result for overflow.
     """
-    with np.errstate(all="ignore"):
-        if not exact:
-            return np.trapezoid(weights @ (np.abs(rows) ** r), alphas)
-        means = _segment_means(rows[..., :-1], rows[..., 1:], r)
-        return (means * np.diff(alphas)[..., None, :]).sum(axis=-1) @ weights
+    if not exact:
+        powers = np.abs(rows)
+        powers **= r
+        return np.trapezoid(weights @ powers, alphas)
+    terms = _segment_means(rows[..., :-1], rows[..., 1:], r)
+    terms *= weights[:, None] * (alphas[..., 1:] - alphas[..., :-1])[..., None, :]
+    return np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
 
 
 def _root(total, r):
@@ -171,7 +214,9 @@ def _metric_rows(diff, directions, theta):
     half = directions.size // 2
     weights = 2.0 * directions.weights[:half]
     head, tail = diff[..., :half, :], diff[..., half:, :]
-    rows = np.concatenate([head - tail, head + tail], axis=-2)
+    rows = np.empty_like(diff)
+    np.subtract(head, tail, out=rows[..., :half, :])
+    np.add(head, tail, out=rows[..., half:, :])
     rows *= 0.5
     return np.concatenate([weights, theta * weights]), rows
 
@@ -278,35 +323,55 @@ def metric_d_r_theta(a, b, r, theta):
     return _root(_abs_pow_integral(alphas, weights, rows, r, directions.dim == 1), r)
 
 
-def metric_powers(metric, a, block):
-    """r-th powers of a rho_r or d_{r,theta} metric from a to a block of sets.
+def metric_powers(metric, directions, queries, atoms):
+    """r-th powers of a rho_r or d_{r,theta} metric from every query to every atom.
 
-    ``block`` is an ``empirical.SupportBlock``: sets stacked on the direction
-    grid of a, each with its own alphas.  On the line a meets each set on the
-    union of their breakpoints; planar sets must share a's grids.  Sets are
-    taken in chunks of about _CHUNK_ELEMENTS temporaries.  Agrees with the
-    pairwise metric raised to the power r up to rounding.
+    ``queries`` and ``atoms`` are ``empirical.SupportBlock``s on the
+    ``directions`` grid; every breakpoint of a query must be one of every atom
+    row (``SupportBlock.with_breakpoints``), so on the line each pair meets on
+    the atom's alphas, and planar sets share one grid.  Returns a (queries,
+    atoms) array; OutOfRange reports r-th powers that overflow.  Agrees with
+    the pairwise metric raised to the power r up to rounding.
+    """
+    r = float(metric.r)
+    if len(atoms.shared) == atoms.alphas.shape[1]:
+        s_q = queries.at(atoms.shared)[:, None]
+    else:
+        grid, inverse = np.unique(atoms.alphas, return_inverse=True)
+        s_q = np.moveaxis(queries.at(grid)[..., inverse.reshape(atoms.alphas.shape)], 2, 1)
+    with np.errstate(all="ignore"):
+        weights, rows = _metric_rows(s_q - atoms.values, directions, metric.theta)
+        powers = _abs_pow_integrals(atoms.alphas, weights, rows, r, directions.dim == 1)
+    if not np.isfinite(powers).all():
+        raise _overflow(r)
+    return powers
+
+
+def expected_metric(metric, directions, queries, atoms, weights, raised=False):
+    """Sum over the atoms of weights times the metric from each query.
+
+    With ``raised`` the metric's r-th power is summed.  The (query, atom)
+    pairs of ``metric_powers`` are taken in chunks of about
+    ``empirical._CHUNK_ELEMENTS`` temporaries (``SupportBlock.row_chunks``),
+    and each chunk of queries is reduced over all atoms at once, so a query's
+    sum is the same whichever queries it is stacked with.  Returns one sum
+    per query row.
     """
     if metric.family == "d_r":
         raise OutOfRange("metric depths use the rho_r or d_r_theta family")
-    r = float(metric.r)
-    exact = a.dim == 1
-    if exact:
-        alphas, stack = block.with_breakpoints(missing_alphas(a.alphas, block.shared))
-        lo, hi = a.endpoints(alphas)
-        s_a = np.stack([hi, -lo], axis=1)
-    else:
-        alphas, stack = np.broadcast_to(block.shared, block.alphas.shape), block.values
-        s_a = np.broadcast_to(a.support_values(block.shared), stack.shape)
-    step = max(1, _CHUNK_ELEMENTS // stack[0].size)
-    powers = np.empty(len(stack))
-    for start in range(0, len(stack), step):
-        chunk = slice(start, start + step)
-        weights, rows = _metric_rows(s_a[chunk] - stack[chunk], a.directions, metric.theta)
-        powers[chunk] = _abs_pow_integrals(alphas[chunk], weights, rows, r, exact)
-    if not np.all(np.isfinite(powers)):
-        raise _overflow(r)
-    return powers
+    root = 1.0 / float(metric.r)
+    pair_size = atoms.values[0].size
+    atom_chunks = [atoms.rows(cols) for cols in atoms.row_chunks(pair_size)]
+    out = np.empty(len(queries.index))
+    for rows in queries.row_chunks(pair_size * len(atom_chunks[0].index)):
+        chunk = queries.rows(rows)
+        powers = np.concatenate(
+            [metric_powers(metric, directions, chunk, block) for block in atom_chunks], axis=1
+        )
+        if not raised:
+            powers **= root
+        out[rows] = np.add.reduce(powers * weights, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

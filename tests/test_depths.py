@@ -288,6 +288,16 @@ class TestDepthConfig:
         with pytest.raises(OutOfRange):
             projection_depth(x.atoms[0], x, n_alpha=n_alpha)
 
+    @pytest.mark.parametrize("n_alpha", [0, -1, 2.5, "7", MAX_N_ALPHA + 1])
+    def test_planar_projection_rejects_bad_n_alpha(self, n_alpha):
+        # planar sets use their stored grid, but the argument is still checked
+        grid, alphas = DirectionGrid.circle(8), uniform_alphas(2)
+        x = make_frv([grid_crisp_point(p, grid, alphas) for p in ([0, 0], [1, 0], [0, 2])])
+        with pytest.raises(OutOfRange):
+            projection_depth(x.atoms[0], x, n_alpha=n_alpha)
+        with pytest.raises(OutOfRange):
+            outlyingness(x.atoms[0], x, n_alpha=n_alpha)
+
 
 class TestDepthTable:
     def test_defaults_to_atoms(self):

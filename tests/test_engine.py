@@ -34,8 +34,8 @@ from fuzzydepth import (
     projection_depth,
     uniform_alphas,
 )
-from fuzzydepth import empirical, metrics
-from fuzzydepth.empirical import _mad_columns, _median_columns
+from fuzzydepth import empirical
+from fuzzydepth.empirical import _mad_columns, _median_columns, stack_supports
 
 
 def reference_outlyingness(a, x, n_alpha=100):
@@ -88,12 +88,15 @@ def metric_configs(r, theta):
 
 
 def assert_table_matches_reference(x, queries, config):
-    got = depth_table(x, queries=queries, config=config).depths
+    """Table rows against the per-query reference, and bitwise against single queries."""
+    got = list(depth_table(x, queries=queries, config=config).depths)
     want = [reference_depth(config, a, x) for a in queries]
     if config.method == "projection":
-        assert list(got) == want
+        assert got == want
     else:
-        assert list(got) == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+    single = config.depth_function()
+    assert got == [single(a, x) for a in queries]
 
 
 def random_trapezoid(rng):
@@ -178,15 +181,60 @@ class TestAgainstReference:
         for config in (DepthConfig("projection", n_alpha=1), *metric_configs(1.5, 1.0)):
             assert_table_matches_reference(x, queries, config)
 
+    def test_queries_in_several_breakpoint_groups(self):
+        # trapezoids miss no breakpoint of the atoms; the piecewise-linear
+        # queries miss their own, and two of them miss the same ones
+        rng = np.random.default_rng(9)
+        shared = np.array([0.0, 0.3, 1.0])
+        atoms = [random_trapezoid(rng) for _ in range(4)]
+        atoms += [random_pl_set(rng, shared) for _ in range(3)]
+        atoms += [random_pl_set(rng, np.array([0.0, 0.2, 0.7, 1.0]))]
+        x = make_frv(atoms, frequencies=[2, 1, 3, 1, 1, 2, 1, 1])
+        own = np.array([0.0, 0.45, 1.0])
+        queries = [
+            random_trapezoid(rng),
+            *atoms,
+            random_pl_set(rng, own),
+            random_pl_set(rng, np.array([0.0, 0.3, 0.45, 1.0])),  # 0.3 is an atom breakpoint
+            random_pl_set(rng, own),
+            random_pl_set(rng, random_grid(rng)),
+        ]
+        # the groups against the trapezoid atoms' grid, by missing breakpoints
+        groups = {
+            tuple(extra.tolist()): np.arange(len(block.index))[rows].size
+            for block in stack_supports(queries)
+            for extra, rows in block.groups_off(np.array([0.0, 1.0]))
+        }
+        assert groups[()] == 5 and groups[(0.3,)] == 3 and groups[(0.45,)] == 2
+        assert groups[(0.3, 0.45)] == 1
+        configs = [DepthConfig("projection", n_alpha=4)]
+        configs += metric_configs(2.0, 1.0) + metric_configs(1.0, 0.5)
+        for config in configs:
+            assert_table_matches_reference(x, queries, config)
+
+    def test_zero_frequency_atoms_are_ranked_but_carry_no_weight(self):
+        rng = np.random.default_rng(10)
+        atoms = [random_trapezoid(rng) for _ in range(6)]
+        atoms += [random_pl_set(rng, random_grid(rng)) for _ in range(3)]
+        frequencies = [0, 3, 1, 0, 2, 1, 0, 1, 2]
+        x = make_frv(atoms, frequencies=frequencies)
+        assert x.size == 6
+        configs = (DepthConfig("projection"), *metric_configs(2.0, 1.0), *metric_configs(1.5, 0.0))
+        for config in configs:
+            assert_table_matches_reference(x, atoms, config)
+
     def test_small_chunks_change_nothing(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(empirical, "_CHUNK_ELEMENTS", 1)
         rng = np.random.default_rng(5)
         atoms = [random_trapezoid(rng) for _ in range(5)] + [
             random_pl_set(rng, random_grid(rng)) for _ in range(3)
         ]
         x = make_frv(atoms)
-        for config in metric_configs(2.5, 0.5):
-            assert_table_matches_reference(x, atoms, config)
+        queries = atoms + [random_pl_set(rng, random_grid(rng)) for _ in range(2)]
+        configs = [DepthConfig("projection", n_alpha=5)]
+        configs += metric_configs(2.5, 0.5) + metric_configs(2.0, 1.0)
+        for config in configs:
+            assert_table_matches_reference(x, queries, config)
 
 
 class TestFitOnce:
@@ -194,7 +242,7 @@ class TestFitOnce:
         calls = Counter()
         original = LevelFuzzySet.support_values
 
-        def counting(self, alphas):
+        def counting(self, alphas=None):
             calls[id(self)] += 1
             return original(self, alphas)
 
@@ -230,6 +278,24 @@ class TestFitOnce:
         projection_depth(x.atoms[1], x, n_alpha=7)
         assert len(passes) == 6
         assert x.fit() is x.fit()
+
+    def test_planar_profile_is_computed_once_for_every_n_alpha(self, monkeypatch):
+        passes = []
+        original = empirical._median_columns
+
+        def counting(values, weights):
+            passes.append(values.shape)
+            return original(values, weights)
+
+        monkeypatch.setattr(empirical, "_median_columns", counting)
+        grid, alphas = DirectionGrid.circle(8), uniform_alphas(3)
+        rng = np.random.default_rng(8)
+        x = make_frv(
+            [grid_zonotope(rng.normal(size=2), rng.normal(size=(2, 2)), grid, alphas) for _ in range(5)]
+        )
+        depths = {projection_depth(x.atoms[0], x, n_alpha=n) for n in (1, 7, 100, 7)}
+        assert len(depths) == 1
+        assert passes == [(5, 8 * 4)] * 2  # one median pass and one MAD pass on the stored grid
 
 
 class TestOverflow:

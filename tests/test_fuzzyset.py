@@ -199,6 +199,7 @@ class TestLineArithmetic:
         # row 0 is the support at u = +1 and row 1 the support at u = -1
         rows = a.support_values(alphas)
         assert rows.shape == (2, len(alphas))
+        assert np.array_equal(a.support_values(), a.support_values(a.alphas))
         for j, alpha in enumerate(alphas):
             assert rows[0, j] == support(a, [1.0], alpha)
             assert rows[1, j] == support(a, [-1.0], alpha)
@@ -313,6 +314,7 @@ class TestGridFuzzySet:
         alphas = [0.0, 0.06, 0.3, 0.5, 0.99, 1.0]
         rows = z.support_values(alphas)
         assert np.array_equal(z.support_values(self.alphas), z.values)
+        assert np.array_equal(z.support_values(), z.values)
         for i, u in enumerate(self.grid.vectors):
             for j, alpha in enumerate(alphas):
                 assert rows[i, j] == z.support(u, alpha)

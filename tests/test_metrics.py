@@ -27,7 +27,14 @@ from fuzzydepth import (
     scale,
     uniform_alphas,
 )
-from fuzzydepth.metrics import _refine_for_max, _segment_abs_pow
+from fuzzydepth.empirical import stack_supports
+from fuzzydepth.metrics import (
+    _generic_segment_means,
+    _refine_for_max,
+    _segment_abs_pow,
+    _segment_means,
+    metric_powers,
+)
 
 
 def random_trapezoid(rng, span=10.0):
@@ -294,6 +301,81 @@ class TestQuadratureOracle:
                 assert metric_rho_r(origin, steep, r) == pytest.approx(want, rel=1e-15, abs=0.0)
                 want = (1.0 / (r + 1.0) * scale**r) ** (1.0 / r)
                 assert metric_d_r(origin, steep, r) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# Segment ends from the subnormal 1e-323 to 1e300 in size, of either sign,
+# and signed zeros.
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(-323, 300))
+_ENDS = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda v: -v), st.sampled_from([0.0, -0.0]))
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+@st.composite
+def segments(draw):
+    """(y0, y1) with strict crossings, zero ends, y1 = -y0 and near-level pairs."""
+    y0 = draw(_ENDS)
+    y1 = draw(
+        st.one_of(
+            _ENDS,
+            st.just(-y0),
+            st.floats(0.5, 2.0).map(lambda f: y0 * f),
+            st.floats(0.5, 2.0).map(lambda f: -y0 * f),
+        )
+    )
+    return y0, y1
+
+
+def assert_closed_forms_match(y0, y1, r):
+    """Within 1e-15 relative in the normal float range; the same bits outside it."""
+    with np.errstate(all="ignore"):
+        closed = _segment_means(y0, y1, r)
+        generic = _generic_segment_means(y0, y1, r)
+    normal = (generic >= _SMALLEST_NORMAL) & (generic < math.inf)
+    np.testing.assert_array_equal(closed[~normal], generic[~normal])
+    error = np.abs(closed[normal] - generic[normal])
+    assert np.all(error <= 1e-15 * generic[normal]), (y0[normal], y1[normal], error)
+    return closed
+
+
+class TestClosedFormSegmentMeans:
+    """r = 1 and r = 2 take closed forms on the batched path; the generic rule is their oracle.
+
+    Where the generic rule underflows to 0, lands below the normal range or
+    overflows to inf, the closed forms hand the entry to it, so both agree
+    there bitwise.
+    """
+
+    @given(st.lists(segments(), min_size=1, max_size=40), st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_generic_rule(self, segs, r):
+        y0, y1 = np.array(segs).T
+        assert_closed_forms_match(y0, y1, r)
+
+    def test_range_edges(self):
+        y0 = np.array([1e154, 1e155, 1e-300, 0.0, -0.0, 1e300, 3.4e-320, -6.5996e-163, 7.1e-160])
+        y1 = np.array([1e154, -1e155, -1e-300, 0.0, 0.0, -1e300, 3.8e-320, -1.58109e-162, -9.7e-160])
+        means = assert_closed_forms_match(y0, y1, 1.0)
+        # (|y0| + |y1|) / 2 rounds otherwise in the subnormal range
+        assert means[6] == _generic_segment_means(y0[6], y1[6], 1.0) != 3.6e-320
+        squares = assert_closed_forms_match(y0, y1, 2.0)
+        # (y0^2 + y0 y1 + y1^2) / 3 passes the float range at 1e154 although
+        # the mean, 1e308, does not: that entry takes the generic rule
+        assert squares[0] == pytest.approx(1e308, rel=1e-15)
+        # at 1e155, inf - inf would be NaN; the generic rule gives inf
+        assert squares[1] == squares[5] == math.inf
+        assert squares[2] == squares[3] == squares[4] == 0.0
+        # the products underflow to 0 where the generic rule still gives the
+        # smallest subnormal, and round otherwise below the normal range
+        assert squares[7] == 5e-324
+        assert 0.0 < squares[8] < _SMALLEST_NORMAL
+
+    @pytest.mark.parametrize("r, wide", [(1.0, 1.5e308), (2.0, 1e200)])
+    def test_overflow_raises_from_metric_powers(self, r, wide):
+        queries = stack_supports([make_trapezoid(-wide, -wide, -wide, -wide)])[0]
+        atoms = stack_supports([make_trapezoid(wide, wide, wide, wide), crisp_interval(0.0, 1.0)])[0]
+        for metric in (MetricSpec("rho_r", r), MetricSpec("d_r_theta", r, 1.0)):
+            with pytest.raises(OutOfRange, match="overflow"):
+                metric_powers(metric, DirectionGrid.line(), queries, atoms)
 
 
 class TestMetricAxioms:
